@@ -7,7 +7,9 @@ computed tables against the reference data shipped with the package.
 
 Exit codes: 0 success, 2 usage or input error, 3 budget abort, 4 reference
 mismatch.  Counts are always printed in full decimal.  Timing and node
-diagnostics go to stderr so stdout stays byte-identical across --jobs.
+diagnostics go to stderr so stdout stays byte-identical from run to run.
+The census counts by a frontier DP whose state is one packed integer of the
+three conflict masks; its node count is the number of DP states expanded.
 """
 
 from __future__ import annotations
@@ -176,7 +178,7 @@ def cmd_census(args: argparse.Namespace) -> int:
         else:
             print(value)
         return EXIT_OK
-    report = delta_census(t, jobs=args.jobs, max_nodes=args.max_nodes,
+    report = delta_census(t, max_nodes=args.max_nodes,
                           timeout_secs=args.timeout_secs)
     _emit_report(report, args)
     print(f"elapsed {report.elapsed:.3f}s, nodes {report.node_count}", file=sys.stderr)
@@ -270,7 +272,7 @@ def _diff_table1() -> tuple[list[str], int]:
 
 
 def _diff_census_table(name: str, size_columns: int, has_order_column: bool,
-                       completability: bool, jobs: int) -> tuple[list[str], int]:
+                       completability: bool) -> tuple[list[str], int]:
     mismatches, cells = [], 0
     for row in _reference_rows(name):
         offset = 1 if has_order_column else 0
@@ -279,7 +281,7 @@ def _diff_census_table(name: str, size_columns: int, has_order_column: bool,
         if completability:
             report = completability_census(t)
         else:
-            report = delta_census(t, jobs=jobs)
+            report = delta_census(t)
         for s in range(1, size_columns + 1):
             cells += 1
             ref = int(row[offset + s] or 0)
@@ -298,11 +300,11 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     if args.table == 1:
         mismatches, cells = _diff_table1()
     elif args.table == 2:
-        mismatches, cells = _diff_census_table("table2.csv", 9, True, False, args.jobs)
+        mismatches, cells = _diff_census_table("table2.csv", 9, True, False)
     elif args.table == 3:
-        mismatches, cells = _diff_census_table("table3.csv", 16, False, False, args.jobs)
+        mismatches, cells = _diff_census_table("table3.csv", 16, False, False)
     else:
-        mismatches, cells = _diff_census_table("table5.csv", 16, True, True, args.jobs)
+        mismatches, cells = _diff_census_table("table5.csv", 16, True, True)
     print(f"elapsed {time.perf_counter() - started:.1f}s", file=sys.stderr)
     if mismatches:
         for line in mismatches:
@@ -342,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report size bounds and attainable sizes only")
     p.add_argument("--full-only", action="store_true",
                    help="count only the invariant full squares")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     _add_budget(p)
     _add_output_format(p)
     p.set_defaults(func=cmd_census)
@@ -379,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("reproduce", help="diff computed tables against the "
                                           "reference data shipped in the package")
     p.add_argument("--table", type=int, choices=(1, 2, 3, 5), required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_reproduce)
 
     return parser

@@ -316,8 +316,10 @@ def basis_from_shape(t: Isotopism, shape: ShapeSet, *,
     rcm, rsm, csm, lns = ovs.rc_masks, ovs.rs_masks, ovs.cs_masks, ovs.lengths
     cells_of = [frozenset(o.triples) for o in ovs.orbits]
     found: list[tuple[frozenset, tuple[int, int, int]]] = []
+    spend = counter.budget.spend
 
     def rec(start, rc, rs, cs, filled, acc):
+        spend()
         if filled == target:
             found.append((acc, (rc, rs, cs)))
             return

@@ -7,19 +7,24 @@ an orbit is itself a valid square, so counting invariant squares of each size
 reduces to counting conflict-free subsets of "valid" orbits, where two orbits
 conflict when they share a (row,col), (row,sym), or (col,sym) pair.
 
-The subset search is a depth-first scan in fixed orbit order with three
-bitmask families for O(1) conflict tests.  Two engines implement it: a pure
-Python one (arbitrary precision, any order) and a compiled one (orders up to
-8, 64-bit masks) used automatically when available.  Both must produce
-identical numbers; the tests hold them to that.
+The census is a forward frontier DP over the n^2 cells in row-major order.
+Each valid orbit is grouped under its least cell, so a group places at most
+one orbit.  A level maps a state to the size polynomial of the partial
+squares decided so far; the state is one packed integer rc | rs << n^2 |
+cs << 2n^2 of the three conflict masks, cut down to the bits that orbits
+whose least cell lies ahead can still touch.  At each cell every state
+either passes or places one compatible orbit of the cell's group, which
+shifts its polynomial by the orbit length.  Only two levels are alive at a
+time, and the cost grows with the number of distinct states, not with the
+number of squares counted.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import factorial, gcd, lcm
-from typing import Iterable, Iterator, NamedTuple, Optional
+from math import factorial, gcd, lcm, prod
+from typing import Iterator, NamedTuple, Optional
 
 from .perm_algebra import (
     IsotopismStructure,
@@ -38,11 +43,7 @@ _UNBOUNDED = 1 << 62
 
 
 class BudgetExceededError(RuntimeError):
-    """Base for search aborts; .partial holds whatever was counted so far."""
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """Base for search aborts."""
 
 
 class NodeBudgetExceededError(BudgetExceededError):
@@ -226,7 +227,8 @@ class CensusReport:
 
 
 class _Budget:
-    """Node and wall-clock accounting for the pure Python engine."""
+    """Node and wall-clock accounting for the searches; a census node is one
+    DP state expanded at one cell."""
 
     __slots__ = ("max_nodes", "deadline", "nodes", "_tick")
 
@@ -252,253 +254,82 @@ class _Budget:
 
 
 # ----------------------------------------------------------------------
-# Pure Python engine
+# The census: a level-by-level frontier DP over the cells
 # ----------------------------------------------------------------------
 
-def _dfs_count(ovs: ValidOrbitSet, start: int, rc: int, rs: int, cs: int,
-               size: int, max_size: int, per_size: list, budget: _Budget) -> None:
-    rcm, rsm, csm, lns = ovs.rc_masks, ovs.rs_masks, ovs.cs_masks, ovs.lengths
-    for i in range(start, len(lns)):
-        if (rc & rcm[i]) or (rs & rsm[i]) or (cs & csm[i]):
+def _census_levels(ovs: ValidOrbitSet, cap: int, budget: _Budget) -> dict[int, int]:
+    """Per-size counts, sizes 1..cap, of the conflict-free orbit subsets."""
+    N = ovs.n * ovs.n
+    groups: list[list[tuple[int, int]]] = [[] for _ in range(N)]
+    for rc, rs, cs, ln in zip(ovs.rc_masks, ovs.rs_masks, ovs.cs_masks, ovs.lengths):
+        groups[(rc & -rc).bit_length() - 1].append((rc | rs << N | cs << 2 * N, ln))
+    # ahead[p]: the state bits that some orbit with least cell >= p touches
+    ahead = [0] * (N + 1)
+    for p in range(N - 1, -1, -1):
+        ahead[p] = ahead[p + 1]
+        for mask, _ in groups[p]:
+            ahead[p] |= mask
+    # A size polynomial sum(c_s x^s) is stored as the integer sum(c_s 2^(width s)).
+    # At most one orbit per group is placed, so every coefficient stays within
+    # the product below and the digits never carry into each other.
+    width = prod(len(group) + 1 for group in groups).bit_length()
+    window = (1 << width * (cap + 1)) - 1
+    spend = budget.spend
+    level = {0: 1}
+    for p in range(N):
+        keep = ahead[p + 1]
+        moves = [(mask, ln * width) for mask, ln in groups[p]]
+        if not moves and keep == ahead[p]:
             continue
-        ns = size + lns[i]
-        if ns > max_size:
-            continue
-        budget.spend()
-        per_size[ns] += 1
-        _dfs_count(ovs, i + 1, rc | rcm[i], rs | rsm[i], cs | csm[i],
-                   ns, max_size, per_size, budget)
-
-
-def _census_python(ovs: ValidOrbitSet, max_size: int, budget: _Budget,
-                   first_indices: Optional[Iterable[int]] = None) -> tuple[list, int]:
-    per_size = [0] * (max_size + 1)
-    indices = range(len(ovs)) if first_indices is None else first_indices
-    for t0 in indices:
-        ln = ovs.lengths[t0]
-        if ln > max_size:
-            continue
-        budget.spend()
-        per_size[ln] += 1
-        _dfs_count(ovs, t0 + 1, ovs.rc_masks[t0], ovs.rs_masks[t0],
-                   ovs.cs_masks[t0], ln, max_size, per_size, budget)
-    return per_size, budget.nodes
-
-
-# ----------------------------------------------------------------------
-# Compiled engine (orders up to 8: masks fit one 64-bit word)
-# ----------------------------------------------------------------------
-
-_KERNEL = None
-
-
-def _load_kernel():
-    global _KERNEL
-    if _KERNEL is not None:
-        return _KERNEL
-    try:
-        import numpy as np
-        from numba import njit
-    except ImportError:
-        _KERNEL = False
-        return _KERNEL
-
-    @njit(cache=True)
-    def kernel(rc, rs, cs, ln, t0, max_size, max_nodes, per_size):
-        T = rc.shape[0]
-        depth_cap = max_size + 2
-        cur_rc = np.zeros(depth_cap, np.uint64)
-        cur_rs = np.zeros(depth_cap, np.uint64)
-        cur_cs = np.zeros(depth_cap, np.uint64)
-        szs = np.zeros(depth_cap, np.int64)
-        nxt = np.zeros(depth_cap, np.int64)
-        if ln[t0] > max_size:
-            return 0, False
-        nodes = 1
-        per_size[ln[t0]] += 1
-        if nodes >= max_nodes:
-            return nodes, True
-        cur_rc[0] = rc[t0]
-        cur_rs[0] = rs[t0]
-        cur_cs[0] = cs[t0]
-        szs[0] = ln[t0]
-        nxt[0] = t0 + 1
-        depth = 0
-        while depth >= 0:
-            i = nxt[depth]
-            if i >= T:
-                depth -= 1
-                continue
-            nxt[depth] = i + 1
-            if (cur_rc[depth] & rc[i]) or (cur_rs[depth] & rs[i]) or (cur_cs[depth] & cs[i]):
-                continue
-            ns = szs[depth] + ln[i]
-            if ns > max_size:
-                continue
-            nodes += 1
-            per_size[ns] += 1
-            if nodes >= max_nodes:
-                return nodes, True
-            cur_rc[depth + 1] = cur_rc[depth] | rc[i]
-            cur_rs[depth + 1] = cur_rs[depth] | rs[i]
-            cur_cs[depth + 1] = cur_cs[depth] | cs[i]
-            szs[depth + 1] = ns
-            nxt[depth + 1] = i + 1
-            depth += 1
-        return nodes, False
-
-    _KERNEL = kernel
-    return _KERNEL
-
-
-def _orbit_arrays(ovs: ValidOrbitSet):
-    import numpy as np
-
-    rc = np.array(ovs.rc_masks, dtype=np.uint64)
-    rs = np.array(ovs.rs_masks, dtype=np.uint64)
-    cs = np.array(ovs.cs_masks, dtype=np.uint64)
-    ln = np.array(ovs.lengths, dtype=np.int64)
-    return rc, rs, cs, ln
-
-
-def _census_numba(ovs: ValidOrbitSet, max_size: int, budget: _Budget,
-                  first_indices: Optional[Iterable[int]] = None) -> tuple[list, int]:
-    import numpy as np
-
-    kernel = _load_kernel()
-    rc, rs, cs, ln = _orbit_arrays(ovs)
-    per_size = np.zeros(max_size + 1, dtype=np.int64)
-    indices = range(len(ovs)) if first_indices is None else first_indices
-    for t0 in indices:
-        remaining = budget.max_nodes - budget.nodes
-        if remaining <= 0:
-            raise NodeBudgetExceededError(f"node budget {budget.max_nodes} exhausted")
-        nodes, aborted = kernel(rc, rs, cs, ln, t0, max_size, remaining, per_size)
-        budget.nodes += nodes
-        if aborted:
-            raise NodeBudgetExceededError(f"node budget {budget.max_nodes} exhausted")
         budget.check_time()
-    return [int(v) for v in per_size], budget.nodes
-
-
-# ----------------------------------------------------------------------
-# Parallel fan-out over the first orbit choice
-# ----------------------------------------------------------------------
-
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(masks_payload, engine: str):
-    _WORKER_STATE["ovs"] = ValidOrbitSet(*masks_payload)
-    _WORKER_STATE["engine"] = engine
-
-
-def _worker_run(args) -> tuple[list, int, Optional[str]]:
-    indices, max_size, max_nodes, timeout_secs = args
-    ovs = _WORKER_STATE["ovs"]
-    run = _census_numba if _WORKER_STATE["engine"] == "numba" else _census_python
-    budget = _Budget(max_nodes, timeout_secs)
-    try:
-        per_size, nodes = run(ovs, max_size, budget, indices)
-        return per_size, nodes, None
-    except NodeBudgetExceededError:
-        return [], budget.nodes, "nodes"
-    except TimeBudgetExceededError:
-        return [], budget.nodes, "time"
-
-
-def _census_parallel(ovs: ValidOrbitSet, max_size: int, engine: str, jobs: int,
-                     max_nodes: Optional[int], timeout_secs: Optional[float]
-                     ) -> tuple[list, int]:
-    import multiprocessing as mp
-
-    payload = (ovs.n, ovs.orbits, ovs.rc_masks, ovs.rs_masks, ovs.cs_masks, ovs.lengths)
-    # strided assignment spreads the heavy low-index subtrees across workers
-    tasks = [
-        (list(range(w, len(ovs), jobs)), max_size,
-         max_nodes if max_nodes is not None else None, timeout_secs)
-        for w in range(jobs)
-    ]
-    ctx = mp.get_context("fork")
-    with ctx.Pool(jobs, initializer=_worker_init, initargs=(payload, engine)) as pool:
-        results = pool.map(_worker_run, tasks)
-    per_size = [0] * (max_size + 1)
-    total_nodes = 0
-    failure = None
-    for worker_sizes, nodes, fail in results:
-        total_nodes += nodes
-        if fail:
-            failure = fail
-        else:
-            for s, v in enumerate(worker_sizes):
-                per_size[s] += v
-    if failure == "nodes" or (max_nodes is not None and total_nodes > max_nodes):
-        raise NodeBudgetExceededError(f"node budget {max_nodes} exhausted")
-    if failure == "time":
-        raise TimeBudgetExceededError("time budget exhausted")
-    return per_size, total_nodes
-
-
-# ----------------------------------------------------------------------
-# The census
-# ----------------------------------------------------------------------
-
-def _pick_engine(engine: str, n: int) -> str:
-    if engine == "auto":
-        return "numba" if n <= 8 and _load_kernel() else "python"
-    if engine == "numba":
-        if n > 8:
-            raise ValueError("the compiled engine is limited to orders up to 8")
-        if not _load_kernel():
-            raise RuntimeError("numba is not available")
-        return "numba"
-    if engine == "python":
-        return "python"
-    raise ValueError(f"unknown engine {engine!r}")
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for key, poly in level.items():
+            spend()
+            k = key & keep
+            nxt[k] = get(k, 0) + poly
+            for mask, shift in moves:
+                if key & mask:
+                    continue
+                moved = (poly << shift) & window
+                if moved:
+                    k = (key | mask) & keep
+                    nxt[k] = get(k, 0) + moved
+        level = nxt
+    poly = level[0]
+    digit = (1 << width) - 1
+    return {s: c for s in range(1, cap + 1) if (c := (poly >> width * s) & digit)}
 
 
 def delta_census(t: Isotopism, *, max_size: Optional[int] = None,
                  max_nodes: Optional[int] = None,
-                 timeout_secs: Optional[float] = None,
-                 jobs: int = 1, engine: str = "auto") -> CensusReport:
+                 timeout_secs: Optional[float] = None) -> CensusReport:
     """Count the non-empty invariant squares of t, grouped by size.
 
-    max_size restricts the census to sizes <= max_size (the search prunes, so
-    small caps are fast even for huge full censuses).  Budget violations
-    raise NodeBudgetExceededError / TimeBudgetExceededError.  The result is
-    independent of jobs and engine; counts are exact.
+    max_size restricts the census to sizes <= max_size (the DP drops every
+    partial square above it, so small caps are fast even for huge full
+    censuses).  max_nodes bounds the DP states expanded; budget violations
+    raise NodeBudgetExceededError / TimeBudgetExceededError.  Counts are exact.
     """
     started = time.monotonic()
     n = t.degree
     ovs = build_valid_orbits(t)
-    cap = n * n if max_size is None else min(max_size, n * n)
-    chosen = _pick_engine(engine, n)
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if jobs > 1 and len(ovs) > 0:
-        per_size, nodes = _census_parallel(ovs, cap, chosen, jobs, max_nodes, timeout_secs)
-    else:
-        budget = _Budget(max_nodes, timeout_secs)
-        run = _census_numba if chosen == "numba" else _census_python
-        try:
-            per_size, nodes = run(ovs, cap, budget)
-        except BudgetExceededError as exc:
-            exc.partial = None
-            raise
-    counts = {s: c for s, c in enumerate(per_size) if c}
+    cap = n * n if max_size is None else max(0, min(max_size, n * n))
+    budget = _Budget(max_nodes, timeout_secs)
+    counts = _census_levels(ovs, cap, budget)
     return CensusReport(
         structure=t.structure(),
         per_size=counts,
         total=sum(counts.values()),
         elapsed=time.monotonic() - started,
-        node_count=nodes,
+        node_count=budget.nodes,
     )
 
 
 def iter_invariant_squares(t: Isotopism, max_size: Optional[int] = None
                            ) -> Iterator[frozenset]:
-    """Yield the cell sets of all non-empty invariant squares, smallest-index
-    orbit first, in the census's depth-first order."""
+    """Yield the cell sets of all non-empty invariant squares, depth-first
+    over the orbits in index order."""
     ovs = build_valid_orbits(t)
     cap = t.degree ** 2 if max_size is None else max_size
     rcm, rsm, csm, lns = ovs.rc_masks, ovs.rs_masks, ovs.cs_masks, ovs.lengths

@@ -105,7 +105,11 @@ class PartialLatinSquare:
     @classmethod
     def parse_json(cls, text: str) -> "PartialLatinSquare":
         obj = json.loads(text)
-        return cls.from_cells(int(obj["n"]), obj["cells"])
+        try:
+            return cls.from_cells(int(obj["n"]), obj["cells"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError('square JSON needs an integer "n" and "cells" as a '
+                             f"list of [row, col, symbol] triples ({exc!r})") from None
 
     def to_json(self) -> str:
         cells = sorted(self.cells)

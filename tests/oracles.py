@@ -2,7 +2,9 @@
 
 Everything in here trades speed for obviousness: direct definitions, no
 bitmasks, no caching beyond memoizing whole result sets.  Test modules check
-the fast library code against these on small orders.
+the fast library code against these on small orders.  The one exception is
+census_by_walker, the plain depth-first census over the library's valid-orbit
+masks, kept to check the census DP on orders where walking is affordable.
 """
 
 from __future__ import annotations
@@ -171,3 +173,29 @@ def canon_key(square: frozenset, n: int) -> tuple:
     return min(
         tuple(sorted(act(theta, square))) for theta in all_isotopisms(n)
     )
+
+
+# ------------------------------------------------------------------- census
+
+def census_by_walker(t, max_size=None) -> dict[int, int]:
+    """Per-size counts of non-empty invariant squares of the isotopism t, by
+    walking every conflict-free subset of valid orbits once, in index order."""
+    from latinsym.orbit_enum import build_valid_orbits
+
+    ovs = build_valid_orbits(t)
+    cap = t.degree ** 2 if max_size is None else max_size
+    rcm, rsm, csm, lns = ovs.rc_masks, ovs.rs_masks, ovs.cs_masks, ovs.lengths
+    per_size = [0] * (cap + 1)
+
+    def walk(start: int, rc: int, rs: int, cs: int, size: int) -> None:
+        for i in range(start, len(lns)):
+            if (rc & rcm[i]) or (rs & rsm[i]) or (cs & csm[i]):
+                continue
+            ns = size + lns[i]
+            if ns > cap:
+                continue
+            per_size[ns] += 1
+            walk(i + 1, rc | rcm[i], rs | rsm[i], cs | csm[i], ns)
+
+    walk(0, 0, 0, 0, 0)
+    return {s: c for s, c in enumerate(per_size) if c}

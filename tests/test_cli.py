@@ -89,10 +89,10 @@ def test_census_theta_matches_z(capsys):
     assert by_z == by_theta
 
 
-def test_census_stdout_independent_of_jobs(capsys):
-    _, one, _ = run(capsys, ["census", "--z", "2.1,2.1,2.1", "--jobs", "1"])
-    _, four, _ = run(capsys, ["census", "--z", "2.1,2.1,2.1", "--jobs", "4"])
-    assert one == four
+def test_census_stdout_repeats_byte_for_byte(capsys):
+    _, first, _ = run(capsys, ["census", "--z", "2.1,2.1,2.1"])
+    _, second, _ = run(capsys, ["census", "--z", "2.1,2.1,2.1"])
+    assert first == second
 
 
 def test_census_sizes_mode(capsys):
@@ -177,6 +177,20 @@ def test_complete_rejects_non_invariant_square(tmp_path, capsys):
     rc, _, err = run(capsys, ["complete", "--theta", FLIP_3, "--pls", str(path)])
     assert rc == 2
     assert "not invariant" in err
+
+
+@pytest.mark.parametrize("payload", [
+    '{"cells": [[1, 1, 3]]}',
+    '{"n": 3}',
+    '{"n": null, "cells": []}',
+    '{"n": 3, "cells": 7}',
+    '{"n": 3, "cells": [["a", "b", "c"]]}',
+])
+def test_complete_malformed_json_square_is_usage_error(payload, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    rc, _, err = run(capsys, ["complete", "--theta", FLIP_3, "--pls", "-"])
+    assert rc == 2
+    assert "error:" in err
 
 
 def test_complete_missing_file(capsys):
@@ -266,7 +280,7 @@ def test_reproduce_spectrum_small_orders(capsys):
 
 
 def test_reproduce_spectrum_order_four(capsys):
-    rc, out, _ = run(capsys, ["reproduce", "--table", "3", "--jobs", "2"])
+    rc, out, _ = run(capsys, ["reproduce", "--table", "3"])
     assert rc == 0
     assert out == "all 374 cells match\n"
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -13,7 +14,13 @@ from latinsym.pls_core import (
     canonical_isotopism,
     is_autotopism,
 )
-from latinsym.orbit_enum import build_valid_orbits, delta_census, delta_full, iter_invariant_squares
+from latinsym.orbit_enum import (
+    TimeBudgetExceededError,
+    build_valid_orbits,
+    delta_census,
+    delta_full,
+    iter_invariant_squares,
+)
 from latinsym.completion import (
     ShapeSet,
     basis_from_shape,
@@ -358,6 +365,14 @@ def test_homogeneous_basis_identity_order_two():
     assert basis.cardinality == 2
     assert basis.counts == [1, 1]
     assert delta_via_symmetry(t) == 2
+
+
+def test_homogeneous_basis_honours_its_time_budget():
+    # the shape enumeration alone runs for minutes on this structure
+    started = time.monotonic()
+    with pytest.raises(TimeBudgetExceededError):
+        homogeneous_basis(rep_of("1^4,1^4,1^4"), timeout_secs=1)
+    assert time.monotonic() - started < 5
 
 
 def test_homogeneous_basis_needs_fixed_points():
