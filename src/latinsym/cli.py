@@ -187,8 +187,7 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 def cmd_ccensus(args: argparse.Namespace) -> int:
     t = _resolve_isotopism(args)
-    report = completability_census(t, strategy=args.strategy,
-                                   max_nodes=args.max_nodes,
+    report = completability_census(t, max_nodes=args.max_nodes,
                                    timeout_secs=args.timeout_secs)
     _emit_report(report, args)
     return EXIT_OK
@@ -359,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("ccensus", help="per-size counts of completable squares")
     _add_selector(p)
-    p.add_argument("--strategy", choices=("auto", "classes", "direct"),
-                   default="auto")
     _add_budget(p)
     _add_output_format(p)
     p.set_defaults(func=cmd_ccensus)

@@ -7,13 +7,15 @@ containing P is itself invariant under t.  Through the orbit bijection this
 is a cover question: can P's orbit subset be extended by disjoint valid
 orbits to cover all n^2 cells?  All searches here run on that formulation,
 sharing the cover machinery (and its memo tables) from the census module.
+An orbit subset is carried as one packed integer, the OR of its orbits'
+ValidOrbitSet.masks, which is also the cover search's memo key.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations as iter_permutations
 from typing import Iterable, Optional
 
 from .perm_algebra import IsotopismStructure
@@ -38,6 +40,8 @@ class CompletabilityReport:
     structure: IsotopismStructure
     per_size: dict[int, int]
     total: int
+    elapsed: float
+    node_count: int
 
     def count(self, size: int) -> int:
         return self.per_size.get(size, 0)
@@ -47,6 +51,7 @@ class CompletabilityReport:
             "structure": str(self.structure),
             "per_size": {str(k): v for k, v in sorted(self.per_size.items())},
             "total": self.total,
+            "diagnostics": {"elapsed": self.elapsed, "node_count": self.node_count},
         }
 
     def to_csv(self) -> str:
@@ -106,13 +111,12 @@ def _orbit_indices_of(ovs: ValidOrbitSet, P: PartialLatinSquare) -> list[int]:
     return sorted(indices)
 
 
-def _state_of(ovs: ValidOrbitSet, indices: Iterable[int]) -> tuple[int, int, int]:
-    rc = rs = cs = 0
+def _state_of(ovs: ValidOrbitSet, indices: Iterable[int]) -> int:
+    """The packed cover state of a set of orbits."""
+    key = 0
     for i in indices:
-        rc |= ovs.rc_masks[i]
-        rs |= ovs.rs_masks[i]
-        cs |= ovs.cs_masks[i]
-    return rc, rs, cs
+        key |= ovs.masks[i]
+    return key
 
 
 def _counter_for(t: Isotopism, max_nodes: Optional[int],
@@ -131,8 +135,7 @@ def count_completions(t: Isotopism, P: PartialLatinSquare, *,
     if not is_autotopism(t, P):
         raise ValueError("the square is not invariant under the isotopism")
     counter = _counter_for(t, max_nodes, timeout_secs)
-    state = _state_of(counter.ovs, _orbit_indices_of(counter.ovs, P))
-    return counter.count_from(*state)
+    return counter.count(_state_of(counter.ovs, _orbit_indices_of(counter.ovs, P)))
 
 
 def is_theta_completable(t: Isotopism, P: PartialLatinSquare, *,
@@ -142,8 +145,7 @@ def is_theta_completable(t: Isotopism, P: PartialLatinSquare, *,
     if not is_autotopism(t, P):
         raise ValueError("the square is not invariant under the isotopism")
     counter = _counter_for(t, max_nodes, timeout_secs)
-    state = _state_of(counter.ovs, _orbit_indices_of(counter.ovs, P))
-    return counter.can_cover(*state)
+    return counter.covers(_state_of(counter.ovs, _orbit_indices_of(counter.ovs, P)))
 
 
 def is_completable(P: PartialLatinSquare, *,
@@ -158,101 +160,53 @@ def is_completable(P: PartialLatinSquare, *,
 # Completability census
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _all_isotopism_images(n: int) -> tuple:
-    perms = list(iter_permutations(range(1, n + 1)))
-    return tuple((a, b, g) for a in perms for b in perms for g in perms)
-
-
-def _canonical_key(cells: frozenset, n: int) -> tuple:
-    """Least sorted image of the cell set over all order-n isotopisms."""
-    return min(
-        tuple(sorted((a[r - 1], b[c - 1], g[s - 1]) for (r, c, s) in cells))
-        for (a, b, g) in _all_isotopism_images(n)
-    )
-
-
 def _census_direct(counter: CoverCounter) -> dict[int, int]:
     """DFS over orbit subsets; a non-completable node prunes its whole
-    subtree, since supersets of a non-completable square stay non-completable."""
-    ovs = counter.ovs
-    rcm, rsm, csm, lns = ovs.rc_masks, ovs.rs_masks, ovs.cs_masks, ovs.lengths
+    subtree, since supersets of a non-completable square stay non-completable.
+    Each square visited is charged to the budget, so the walk stays bounded
+    even when every cover query is a memo hit."""
+    masks, lns = counter.ovs.masks, counter.ovs.lengths
+    covers, spend = counter.covers, counter.budget.spend
     per_size: dict[int, int] = {}
 
-    def rec(start: int, rc: int, rs: int, cs: int, size: int) -> None:
-        for i in range(start, len(lns)):
-            if (rc & rcm[i]) or (rs & rsm[i]) or (cs & csm[i]):
+    def rec(start: int, key: int, size: int) -> None:
+        for i in range(start, len(masks)):
+            mask = masks[i]
+            if key & mask:
                 continue
-            nrc, nrs, ncs = rc | rcm[i], rs | rsm[i], cs | csm[i]
-            if not counter.can_cover(nrc, nrs, ncs):
+            spend()
+            nxt = key | mask
+            if not covers(nxt):
                 continue
             ns = size + lns[i]
             per_size[ns] = per_size.get(ns, 0) + 1
-            rec(i + 1, nrc, nrs, ncs, ns)
+            rec(i + 1, nxt, ns)
 
-    rec(0, 0, 0, 0, 0)
+    rec(0, 0, 0)
     return per_size
 
 
-def _census_by_classes(counter: CoverCounter) -> dict[int, int]:
-    """Group members by isotopy class and decide each class through one
-    representative; the statuses agree across a class."""
-    ovs = counter.ovs
-    n = ovs.n
-    rcm, rsm, csm, lns = ovs.rc_masks, ovs.rs_masks, ovs.cs_masks, ovs.lengths
-    cells_of = [frozenset(o.triples) for o in ovs.orbits]
-    members: list[tuple[frozenset, tuple[int, int, int], int]] = []
-
-    def rec(start, rc, rs, cs, size, acc):
-        for i in range(start, len(lns)):
-            if (rc & rcm[i]) or (rs & rsm[i]) or (cs & csm[i]):
-                continue
-            state = (rc | rcm[i], rs | rsm[i], cs | csm[i])
-            nxt = acc | cells_of[i]
-            members.append((nxt, state, size + lns[i]))
-            rec(i + 1, state[0], state[1], state[2], size + lns[i], nxt)
-
-    rec(0, 0, 0, 0, 0, frozenset())
-    class_status: dict[tuple, bool] = {}
-    per_size: dict[int, int] = {}
-    for cells, state, size in members:
-        key = _canonical_key(cells, n)
-        status = class_status.get(key)
-        if status is None:
-            status = counter.can_cover(*state)
-            class_status[key] = status
-        if status:
-            per_size[size] = per_size.get(size, 0) + 1
-    return per_size
-
-
-def completability_census(t: Isotopism, *, strategy: str = "auto",
-                          max_nodes: Optional[int] = None,
+def completability_census(t: Isotopism, *, max_nodes: Optional[int] = None,
                           timeout_secs: Optional[float] = None
                           ) -> CompletabilityReport:
     """Count, for each size, the invariant squares that are t-completable.
 
-    strategy "classes" decides one representative per isotopy class (cheap
-    at orders up to 3), "direct" checks every member with subtree pruning
-    and memoized cover queries, "auto" picks by order.  Both strategies
-    agree wherever both are feasible.
+    Every invariant square is visited by a depth-first walk over the orbit
+    subsets and decided by a memoized cover query on its packed state; a
+    square that does not complete prunes all its supersets.  The count is
+    exact at every order.  max_nodes bounds the squares visited plus the
+    cover states expanded; budget violations raise NodeBudgetExceededError /
+    TimeBudgetExceededError.
     """
-    n = t.degree
-    if strategy == "auto":
-        strategy = "classes" if n <= 3 else "direct"
+    started = time.monotonic()
     counter = _counter_for(t, max_nodes, timeout_secs)
-    if strategy == "classes":
-        if n > 3:
-            raise ValueError("class grouping is brute force; use it only up to order 3")
-        per_size = _census_by_classes(counter)
-    elif strategy == "direct":
-        per_size = _census_direct(counter)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    per_size = _census_direct(counter)
     return CompletabilityReport(
         structure=t.structure(),
         per_size=per_size,
         total=sum(per_size.values()),
+        elapsed=time.monotonic() - started,
+        node_count=counter.budget.nodes,
     )
 
 
@@ -307,34 +261,31 @@ def basis_from_shape(t: Isotopism, shape: ShapeSet, *,
     invariant full squares; the counts are asserted to sum to the full count."""
     counter = _counter_for(t, max_nodes, timeout_secs)
     ovs = counter.ovs
-    if not counter.can_cover(0, 0, 0):
+    if not counter.covers(0):
         raise ValueError("the isotopism admits no invariant full square")
     _validate_shape_invariance(t, shape)
     n = ovs.n
     target = _shape_mask(n, shape.pairs)
     view = _mode_data(ovs, shape.mode)
-    rcm, rsm, csm, lns = ovs.rc_masks, ovs.rs_masks, ovs.cs_masks, ovs.lengths
+    masks = ovs.masks
     cells_of = [frozenset(o.triples) for o in ovs.orbits]
-    found: list[tuple[frozenset, tuple[int, int, int]]] = []
+    found: list[tuple[frozenset, int]] = []
     spend = counter.budget.spend
 
-    def rec(start, rc, rs, cs, filled, acc):
+    def rec(start, key, filled, acc):
         spend()
         if filled == target:
-            found.append((acc, (rc, rs, cs)))
+            found.append((acc, key))
             return
-        for i in range(start, len(lns)):
-            if view[i] & ~target:
+        for i in range(start, len(masks)):
+            if view[i] & ~target or key & masks[i]:
                 continue
-            if (rc & rcm[i]) or (rs & rsm[i]) or (cs & csm[i]):
-                continue
-            rec(i + 1, rc | rcm[i], rs | rsm[i], cs | csm[i],
-                filled | view[i], acc | cells_of[i])
+            rec(i + 1, key | masks[i], filled | view[i], acc | cells_of[i])
 
-    rec(0, 0, 0, 0, 0, frozenset())
+    rec(0, 0, 0, frozenset())
     elements, counts = [], []
-    for cells, state in found:
-        completions = counter.count_from(*state)
+    for cells, key in found:
+        completions = counter.count(key)
         if completions:
             elements.append(PartialLatinSquare(n, cells))
             counts.append(completions)
@@ -344,7 +295,7 @@ def basis_from_shape(t: Isotopism, shape: ShapeSet, *,
     elements = [elements[i] for i in order]
     counts = [counts[i] for i in order]
     total = sum(counts)
-    full = counter.count_from(0, 0, 0)
+    full = counter.count(0)
     if total != full:
         raise AssertionError(
             f"basis counts sum to {total}, but there are {full} invariant "

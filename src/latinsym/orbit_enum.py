@@ -16,13 +16,18 @@ whose least cell lies ahead can still touch.  At each cell every state
 either passes or places one compatible orbit of the cell's group, which
 shifts its polynomial by the orbit length.  Only two levels are alive at a
 time, and the cost grows with the number of distinct states, not with the
-number of squares counted.
+number of squares counted; a level that would outgrow _MAX_LEVEL_BYTES
+aborts the census with StateBudgetExceededError.
+
+Full squares are counted by CoverCounter, a memoized exact-cover search on
+the same packed states.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import filterfalse
 from math import factorial, gcd, lcm, prod
 from typing import Iterator, NamedTuple, Optional
 
@@ -41,6 +46,14 @@ from .pls_core import (
 
 _UNBOUNDED = 1 << 62
 
+# Most bytes one census DP level may take.  A state costs about 100 bytes of
+# key and dict entry plus its size polynomial, so the state ceiling of a
+# census is this divided by that estimate: 1.86 million states for the
+# largest census in the tables (1^4,1^4,1^4 uncapped, whose largest level
+# holds 176,699), 1.08 million for an uncapped census at order 5, which
+# would otherwise outgrow memory long before it outgrows the node budget.
+_MAX_LEVEL_BYTES = 320 << 20
+
 
 class BudgetExceededError(RuntimeError):
     """Base for search aborts."""
@@ -54,6 +67,10 @@ class TimeBudgetExceededError(BudgetExceededError):
     pass
 
 
+class StateBudgetExceededError(BudgetExceededError):
+    """A census DP level outgrew the memory ceiling _MAX_LEVEL_BYTES."""
+
+
 # ----------------------------------------------------------------------
 # Valid orbits and masks
 # ----------------------------------------------------------------------
@@ -63,7 +80,9 @@ class ValidOrbitSet:
     """The valid orbits of an isotopism plus the data for conflict testing.
 
     Masks are integers over n^2 bits; bit (a-1)*n + (b-1) stands for the
-    coordinate pair (a, b) of the respective family.
+    coordinate pair (a, b) of the respective family.  masks[i] packs the
+    three families of orbit i into one integer, rc | rs << n^2 | cs << 2n^2,
+    so a set of orbits is one integer and a conflict test is one AND.
     """
 
     n: int
@@ -72,17 +91,22 @@ class ValidOrbitSet:
     rs_masks: tuple[int, ...]
     cs_masks: tuple[int, ...]
     lengths: tuple[int, ...]
+    masks: tuple[int, ...]
+
+    def pack(self, rc: int, rs: int, cs: int) -> int:
+        """The packed state of three mask families."""
+        return _pack(self.n * self.n, rc, rs, cs)
 
     def conflict(self, a: int, b: int) -> bool:
         """Whether orbits a and b cannot coexist in one invariant square."""
-        return bool(
-            (self.rc_masks[a] & self.rc_masks[b])
-            or (self.rs_masks[a] & self.rs_masks[b])
-            or (self.cs_masks[a] & self.cs_masks[b])
-        )
+        return bool(self.masks[a] & self.masks[b])
 
     def __len__(self) -> int:
         return len(self.orbits)
+
+
+def _pack(N: int, rc: int, rs: int, cs: int) -> int:
+    return rc | rs << N | cs << 2 * N
 
 
 def _pair_bit(n: int, a: int, b: int) -> int:
@@ -98,11 +122,12 @@ def build_valid_orbits(t: Isotopism) -> ValidOrbitSet:
     many distinct pairs in every coordinate family as it has cells.
     """
     n = t.degree
+    N = n * n
     admissible = lcm_triple_set(n)
     row_len = {pt: len(c) for c in t.alpha.cycles() for pt in c}
     col_len = {pt: len(c) for c in t.beta.cycles() for pt in c}
     sym_len = {pt: len(c) for c in t.gamma.cycles() for pt in c}
-    orbits, rc_all, rs_all, cs_all, lengths = [], [], [], [], []
+    orbits, rc_all, rs_all, cs_all, lengths, packed = [], [], [], [], [], []
     for orbit in triple_orbits(t):
         r0, c0, s0 = orbit.representative
         if (row_len[r0], col_len[c0], sym_len[s0]) not in admissible:
@@ -123,8 +148,9 @@ def build_valid_orbits(t: Isotopism) -> ValidOrbitSet:
         rs_all.append(rs)
         cs_all.append(cs)
         lengths.append(orbit.length)
+        packed.append(_pack(N, rc, rs, cs))
     return ValidOrbitSet(n, tuple(orbits), tuple(rc_all), tuple(rs_all),
-                         tuple(cs_all), tuple(lengths))
+                         tuple(cs_all), tuple(lengths), tuple(packed))
 
 
 # ----------------------------------------------------------------------
@@ -227,8 +253,9 @@ class CensusReport:
 
 
 class _Budget:
-    """Node and wall-clock accounting for the searches; a census node is one
-    DP state expanded at one cell."""
+    """Node and wall-clock accounting for the searches.  A census node is one
+    DP state expanded at one cell, a cover node one cover state expanded;
+    the completability census also charges each square it visits."""
 
     __slots__ = ("max_nodes", "deadline", "nodes", "_tick")
 
@@ -261,8 +288,8 @@ def _census_levels(ovs: ValidOrbitSet, cap: int, budget: _Budget) -> dict[int, i
     """Per-size counts, sizes 1..cap, of the conflict-free orbit subsets."""
     N = ovs.n * ovs.n
     groups: list[list[tuple[int, int]]] = [[] for _ in range(N)]
-    for rc, rs, cs, ln in zip(ovs.rc_masks, ovs.rs_masks, ovs.cs_masks, ovs.lengths):
-        groups[(rc & -rc).bit_length() - 1].append((rc | rs << N | cs << 2 * N, ln))
+    for mask, ln in zip(ovs.masks, ovs.lengths):
+        groups[(mask & -mask).bit_length() - 1].append((mask, ln))
     # ahead[p]: the state bits that some orbit with least cell >= p touches
     ahead = [0] * (N + 1)
     for p in range(N - 1, -1, -1):
@@ -275,6 +302,7 @@ def _census_levels(ovs: ValidOrbitSet, cap: int, budget: _Budget) -> dict[int, i
     width = prod(len(group) + 1 for group in groups).bit_length()
     window = (1 << width * (cap + 1)) - 1
     spend = budget.spend
+    ceiling = _MAX_LEVEL_BYTES // (100 + width * (cap + 1) // 8)
     level = {0: 1}
     for p in range(N):
         keep = ahead[p + 1]
@@ -282,6 +310,8 @@ def _census_levels(ovs: ValidOrbitSet, cap: int, budget: _Budget) -> dict[int, i
         if not moves and keep == ahead[p]:
             continue
         budget.check_time()
+        # each state makes at most 1 + len(moves) successors
+        watch = len(level) * (1 + len(moves)) > ceiling
         nxt: dict[int, int] = {}
         get = nxt.get
         for key, poly in level.items():
@@ -295,6 +325,11 @@ def _census_levels(ovs: ValidOrbitSet, cap: int, budget: _Budget) -> dict[int, i
                 if moved:
                     k = (key | mask) & keep
                     nxt[k] = get(k, 0) + moved
+            if watch and len(nxt) > ceiling:
+                raise StateBudgetExceededError(
+                    f"census level at cell {p} holds {len(nxt)} states, "
+                    f"over this census's ceiling of {ceiling}"
+                )
         level = nxt
     poly = level[0]
     digit = (1 << width) - 1
@@ -332,22 +367,21 @@ def iter_invariant_squares(t: Isotopism, max_size: Optional[int] = None
     over the orbits in index order."""
     ovs = build_valid_orbits(t)
     cap = t.degree ** 2 if max_size is None else max_size
-    rcm, rsm, csm, lns = ovs.rc_masks, ovs.rs_masks, ovs.cs_masks, ovs.lengths
+    masks, lns = ovs.masks, ovs.lengths
     cells = [frozenset(o.triples) for o in ovs.orbits]
 
-    def rec(start: int, rc: int, rs: int, cs: int, size: int,
-            acc: frozenset) -> Iterator[frozenset]:
+    def rec(start: int, key: int, size: int, acc: frozenset) -> Iterator[frozenset]:
         for i in range(start, len(lns)):
-            if (rc & rcm[i]) or (rs & rsm[i]) or (cs & csm[i]):
+            if key & masks[i]:
                 continue
             ns = size + lns[i]
             if ns > cap:
                 continue
             nxt = acc | cells[i]
             yield nxt
-            yield from rec(i + 1, rc | rcm[i], rs | rsm[i], cs | csm[i], ns, nxt)
+            yield from rec(i + 1, key | masks[i], ns, nxt)
 
-    yield from rec(0, 0, 0, 0, 0, frozenset())
+    yield from rec(0, 0, 0, frozenset())
 
 
 # ----------------------------------------------------------------------
@@ -358,84 +392,90 @@ class CoverCounter:
     """Counts, or tests for, extensions of an orbit-subset state to a full
     cover of all n^2 cells by disjoint valid orbits.
 
-    Shared by the full-square census and the completability machinery; memo
-    tables are keyed by the three mask families, which determine the residual
-    problem completely.
+    Shared by the full-square count and the completability machinery.  A
+    state is the packed integer rc | rs << n^2 | cs << 2n^2 of the orbits
+    placed so far (ValidOrbitSet.masks), which determines the residual
+    problem completely; both memo tables are keyed on it.  Each step branches
+    on the compatible orbits through the uncovered cell with fewest of them,
+    taking the first cell with at most one.  budget.nodes counts the states
+    expanded.
     """
 
     def __init__(self, ovs: ValidOrbitSet, budget: Optional[_Budget] = None):
         self.ovs = ovs
-        n = ovs.n
-        self.full = (1 << (n * n)) - 1
-        self.by_cell: list[list[int]] = [[] for _ in range(n * n)]
-        for idx, mask in enumerate(ovs.rc_masks):
-            m = mask
+        N = ovs.n * ovs.n
+        self.cells = (1 << N) - 1
+        self.full = (1 << 3 * N) - 1
+        # by_cell[c]: the packed masks of the orbits covering cell c
+        by_cell: list[list[int]] = [[] for _ in range(N)]
+        for mask in ovs.masks:
+            m = mask & self.cells
             while m:
                 low = m & -m
-                self.by_cell[low.bit_length() - 1].append(idx)
+                by_cell[low.bit_length() - 1].append(mask)
                 m ^= low
+        self.by_cell = by_cell
         self.budget = budget or _Budget(None, None)
-        self._count_memo: dict = {}
-        self._can_memo: dict = {}
+        self._count_memo: dict[int, int] = {}
+        self._can_memo: dict[int, bool] = {}
 
-    def _candidates(self, rc: int, rs: int, cs: int) -> Optional[list[int]]:
-        """Compatible orbits through the most constrained uncovered cell."""
-        ovs = self.ovs
+    def _candidates(self, key: int) -> list[int]:
+        """Masks of the compatible orbits through the most constrained
+        uncovered cell of a state that is not yet full."""
+        by_cell = self.by_cell
         best: Optional[list[int]] = None
-        remaining = self.full & ~rc
+        remaining = self.cells & ~key
         while remaining:
             low = remaining & -remaining
-            cell = low.bit_length() - 1
             remaining ^= low
-            cands = [
-                i for i in self.by_cell[cell]
-                if not ((rc & ovs.rc_masks[i]) or (rs & ovs.rs_masks[i])
-                        or (cs & ovs.cs_masks[i]))
-            ]
+            cands = [*filterfalse(key.__and__, by_cell[low.bit_length() - 1])]
             if best is None or len(cands) < len(best):
                 best = cands
-                if not cands:
+                if len(cands) <= 1:
                     break
         return best
 
-    def count_from(self, rc: int, rs: int, cs: int) -> int:
-        if rc == self.full:
+    def count(self, key: int) -> int:
+        """Number of full covers extending the packed state key."""
+        if key == self.full:
             return 1
-        key = (rc, rs, cs)
         hit = self._count_memo.get(key)
         if hit is not None:
             return hit
         self.budget.spend()
-        ovs = self.ovs
         total = 0
-        for i in self._candidates(rc, rs, cs):
-            total += self.count_from(rc | ovs.rc_masks[i], rs | ovs.rs_masks[i],
-                                     cs | ovs.cs_masks[i])
+        for mask in self._candidates(key):
+            total += self.count(key | mask)
         self._count_memo[key] = total
         return total
 
-    def can_cover(self, rc: int, rs: int, cs: int) -> bool:
-        if rc == self.full:
+    def covers(self, key: int) -> bool:
+        """Whether some full cover extends the packed state key."""
+        if key == self.full:
             return True
-        key = (rc, rs, cs)
         hit = self._can_memo.get(key)
         if hit is not None:
             return hit
         counted = self._count_memo.get(key)
         if counted is not None:
             result = counted > 0
-            self._can_memo[key] = result
-            return result
-        self.budget.spend()
-        ovs = self.ovs
-        result = False
-        for i in self._candidates(rc, rs, cs):
-            if self.can_cover(rc | ovs.rc_masks[i], rs | ovs.rs_masks[i],
-                              cs | ovs.cs_masks[i]):
-                result = True
-                break
+        else:
+            self.budget.spend()
+            result = False
+            for mask in self._candidates(key):
+                if self.covers(key | mask):
+                    result = True
+                    break
         self._can_memo[key] = result
         return result
+
+    def count_from(self, rc: int, rs: int, cs: int) -> int:
+        """count() of the state given as its three mask families."""
+        return self.count(self.ovs.pack(rc, rs, cs))
+
+    def can_cover(self, rc: int, rs: int, cs: int) -> bool:
+        """covers() of the state given as its three mask families."""
+        return self.covers(self.ovs.pack(rc, rs, cs))
 
 
 def delta_full(t: Isotopism, *, max_nodes: Optional[int] = None,
@@ -447,7 +487,7 @@ def delta_full(t: Isotopism, *, max_nodes: Optional[int] = None,
     """
     ovs = build_valid_orbits(t)
     counter = CoverCounter(ovs, _Budget(max_nodes, timeout_secs))
-    return counter.count_from(0, 0, 0)
+    return counter.count(0)
 
 
 # ----------------------------------------------------------------------

@@ -118,6 +118,14 @@ def test_census_budget_abort_exit_code(capsys):
     assert "aborted" in err
 
 
+def test_census_state_ceiling_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr("latinsym.orbit_enum._MAX_LEVEL_BYTES", 1 << 20)
+    rc, out, err = run(capsys, ["census", "--z", "1^4,1^4,1^4"])
+    assert rc == 3
+    assert out == ""
+    assert "aborted: census level at cell" in err and "Traceback" not in err
+
+
 def test_bad_structure_spec_is_usage_error(capsys):
     rc, _, err = run(capsys, ["census", "--z", "2.x,2,1"])
     assert rc == 2
@@ -210,17 +218,18 @@ def test_ccensus_totals(capsys):
     assert out.splitlines()[-1] == "total 109"
 
 
-def test_ccensus_strategies_match(capsys):
-    _, direct, _ = run(capsys, ["ccensus", "--z", "3,3,3", "--strategy", "direct"])
-    _, classes, _ = run(capsys, ["ccensus", "--z", "3,3,3", "--strategy", "classes"])
-    assert direct == classes
+def test_ccensus_strategy_option_is_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["ccensus", "--z", "3,3,3", "--strategy", "classes"])
+    assert exc.value.code == 2
 
 
-def test_ccensus_classes_refused_above_order_three(capsys):
-    rc, _, err = run(capsys, ["ccensus", "--z", "2.1^2,2.1^2,2.1^2",
-                              "--strategy", "classes"])
-    assert rc == 2
-    assert "error:" in err
+def test_ccensus_json_diagnostics_go_to_stderr(capsys):
+    rc, out, err = run(capsys, ["ccensus", "--z", "2,2,1^2", "--json"])
+    assert rc == 0
+    assert json.loads(out) == {"per_size": {"2": 4, "4": 2},
+                               "structure": "2,2,1^2", "total": 6}
+    assert "diagnostics:" in err and "node_count" in err
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,7 @@ from latinsym.pls_core import (
     is_autotopism,
 )
 from latinsym.orbit_enum import (
+    NodeBudgetExceededError,
     TimeBudgetExceededError,
     build_valid_orbits,
     delta_census,
@@ -69,6 +71,27 @@ def test_four_by_four_counterexample():
     assert count_completions(FOUR_THETA, FOUR_SQUARE) == 0
     assert is_completable(FOUR_SQUARE)
     assert count_completions(Isotopism.identity(4), FOUR_SQUARE) > 0
+
+
+def test_count_completions_matches_oracle():
+    # seeded invariant squares, counted against the invariant Latin squares
+    # that contain them
+    rng = random.Random(23)
+    seen = set()
+    for spec in ("2.1,2.1,2.1", "1^3,1^3,1^3", "3,3,1^3",
+                 "2^2,2^2,2^2", "2.1^2,2.1^2,2.1^2", "3.1,3.1,3.1"):
+        t = rep_of(spec)
+        n = t.degree
+        theta = image_tuples(t)
+        fulls = [L for L in oracles.all_latin_squares(n) if oracles.act(theta, L) == L]
+        members = list(iter_invariant_squares(t))
+        for cells in rng.sample(members, min(25, len(members))):
+            expected = sum(1 for L in fulls if cells <= L)
+            P = PartialLatinSquare(n, cells)
+            assert count_completions(t, P) == expected, (spec, sorted(cells))
+            assert is_theta_completable(t, P) == (expected > 0)
+            seen.add(expected > 0)
+    assert seen == {True, False}
 
 
 def test_full_squares_count_once():
@@ -210,25 +233,32 @@ def test_census_never_exceeds_size_spectrum():
             assert c <= spectrum.per_size[s]
 
 
-def test_census_strategies_agree_up_to_order_three():
+def test_completability_census_matches_oracle():
+    # every structure of order <= 3, against completability decided by
+    # scanning all Latin squares of the order
     for n in (1, 2, 3):
         for z in enumerate_autotopism_structures(n):
             t = canonical_isotopism(z)
-            direct = completability_census(t, strategy="direct")
-            classes = completability_census(t, strategy="classes")
-            assert direct.per_size == classes.per_size, str(z)
+            theta = image_tuples(t)
+            expected = Counter(
+                len(cells) for cells in oracles.invariant_squares(theta, n)
+                if oracles.is_completable_to_invariant(theta, cells, n)
+            )
+            assert completability_census(t).per_size == dict(expected), str(z)
 
 
-def test_classes_strategy_refused_above_order_three():
-    with pytest.raises(ValueError):
-        completability_census(rep_of("4,4,1^4"), strategy="classes")
-    with pytest.raises(ValueError):
-        completability_census(rep_of("2,2,2"), strategy="bogus")
+def test_census_budget_is_charged_per_square():
+    with pytest.raises(NodeBudgetExceededError):
+        completability_census(rep_of("3.1^2,3.1^2,3.1^2"), max_nodes=1000)
+    # every completable square counted was charged once, cover states on top
+    rep = completability_census(rep_of("1^3,1^3,1^3"))
+    assert rep.node_count > rep.total == 5835
 
 
 def test_completability_constant_on_isotopy_classes_small():
     # Up to order 3, two invariant squares in the same isotopy class are
-    # either both completable or both not; the class census relies on this.
+    # either both completable or both not.  This fails at order 4, which is
+    # why the census decides every square on its own.
     for n in (2, 3):
         for z in enumerate_autotopism_structures(n):
             t = canonical_isotopism(z)
@@ -246,11 +276,9 @@ def test_census_parastrophic_invariance_small():
     perms3 = [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
     for n in (2, 3):
         for z in enumerate_autotopism_structures(n):
-            base = completability_census(canonical_isotopism(z), strategy="direct")
+            base = completability_census(canonical_isotopism(z))
             for pi in perms3:
-                other = completability_census(
-                    canonical_isotopism(z.permuted(pi)), strategy="direct"
-                )
+                other = completability_census(canonical_isotopism(z.permuted(pi)))
                 assert other.per_size == base.per_size, (str(z), pi)
 
 
@@ -275,6 +303,8 @@ def test_report_accessors():
     d = rep.to_json_dict()
     assert d["per_size"] == {"2": 4, "4": 2}
     assert d["total"] == 6
+    assert d["diagnostics"] == {"elapsed": rep.elapsed, "node_count": rep.node_count}
+    assert rep.elapsed >= 0 and rep.node_count > 0
     assert rep.to_csv().splitlines() == ["size,count", "2,4", "4,2", "total,6"]
 
 

@@ -16,9 +16,11 @@ from latinsym.pls_core import (
     canonical_isotopism,
     is_autotopism,
 )
+from latinsym import orbit_enum
 from latinsym.orbit_enum import (
     CoverCounter,
     NodeBudgetExceededError,
+    StateBudgetExceededError,
     TimeBudgetExceededError,
     build_valid_orbits,
     candidate_sizes,
@@ -206,6 +208,16 @@ def test_census_budget_errors_distinct():
         delta_census(t, timeout_secs=0.05)
 
 
+def test_census_live_state_ceiling(monkeypatch):
+    # a 1 MiB level holds about 5,800 states here; the uncapped census needs
+    # a level of 176,699, the size-2 census never more than 2,196 states
+    monkeypatch.setattr(orbit_enum, "_MAX_LEVEL_BYTES", 1 << 20)
+    t = rep_of("1^4,1^4,1^4")
+    with pytest.raises(StateBudgetExceededError, match=r"level at cell \d+ holds \d+ states"):
+        delta_census(t)
+    assert delta_census(t, max_size=2).per_size == {1: 64, 2: 1728}
+
+
 def test_census_report_invariants():
     rep = delta_census(rep_of("2.1,2.1,1^3"))
     assert rep.total == sum(rep.per_size.values())
@@ -244,6 +256,18 @@ def test_delta_full_matches_census_top_size():
     for spec in ("4,4,1^4", "2^2,2^2,2^2", "2.1^2,2.1^2,2.1^2"):
         t = rep_of(spec)
         assert delta_full(t) == delta_census(t).count(16)
+
+
+def test_cover_counter_packed_interface():
+    ovs = build_valid_orbits(rep_of("1^4,1^4,1^4"))
+    counter = CoverCounter(ovs)
+    assert counter.count_from(0, 0, 0) == 576
+    assert counter.budget.nodes > 0
+    # one orbit placed: the squares of order 4 with that fixed cell
+    i = 0
+    assert counter.count_from(ovs.rc_masks[i], ovs.rs_masks[i], ovs.cs_masks[i]) \
+        == counter.count(ovs.masks[i]) == 576 // 4
+    assert counter.can_cover(ovs.rc_masks[i], ovs.rs_masks[i], ovs.cs_masks[i])
 
 
 def test_cover_counter_budget():
