@@ -7,11 +7,15 @@ console script sees.
 
 import io
 import json
+from collections import Counter
 from importlib import resources
 
 import pytest
 
+import oracles
 from latinsym.cli import main
+from latinsym.perm_algebra import IsotopismStructure
+from latinsym.pls_core import canonical_isotopism
 
 COUNTEREXAMPLE_3 = "3 . 2\n. 3 1\n2 1 .\n"
 FLIP_3 = "(1 2);(1 2);(1 2)"
@@ -218,10 +222,29 @@ def test_ccensus_totals(capsys):
     assert out.splitlines()[-1] == "total 109"
 
 
-def test_ccensus_strategy_option_is_usage_error():
+def test_ccensus_strategies_match(capsys):
+    # One search serves every census; it agrees with the oracle's count of
+    # completable invariant squares, and no --strategy option is left to pick
+    rc, out, _ = run(capsys, ["ccensus", "--z", "3,3,3", "--json"])
+    assert rc == 0
+    t = canonical_isotopism(IsotopismStructure.parse("3,3,3"))
+    theta = (t.alpha.images, t.beta.images, t.gamma.images)
+    expected = Counter(
+        len(cells) for cells in oracles.invariant_squares(theta, 3)
+        if oracles.is_completable_to_invariant(theta, cells, 3)
+    )
+    assert json.loads(out)["per_size"] == {str(k): v for k, v in expected.items()}
+    for strategy in ("direct", "classes"):
+        with pytest.raises(SystemExit) as exc:
+            main(["ccensus", "--z", "3,3,3", "--strategy", strategy])
+        assert exc.value.code == 2
+
+
+def test_ccensus_classes_refused_above_order_three(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["ccensus", "--z", "3,3,3", "--strategy", "classes"])
+        main(["ccensus", "--z", "2.1^2,2.1^2,2.1^2", "--strategy", "classes"])
     assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_ccensus_json_diagnostics_go_to_stderr(capsys):
