@@ -10,6 +10,8 @@ mismatch.  Counts are always printed in full decimal.  Timing and node
 diagnostics go to stderr so stdout stays byte-identical from run to run.
 The census counts by a frontier DP whose state is one packed integer of the
 three conflict masks; its node count is the number of DP states expanded.
+census --full-only and complete --count run the same DP in its full-only
+mode.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ import time
 from importlib import resources
 from typing import Optional, Sequence
 
+from .budget import BudgetExceededError, deadline_after
 from .perm_algebra import (
+    _S3,
     IsotopismStructure,
     count_autotopism_structures,
     count_parastrophic_classes,
@@ -31,13 +35,7 @@ from .perm_algebra import (
     enumerate_autotopism_structures,
 )
 from .pls_core import Isotopism, PartialLatinSquare, canonical_isotopism
-from .orbit_enum import (
-    BudgetExceededError,
-    candidate_sizes,
-    delta_census,
-    delta_full,
-    size_bounds,
-)
+from .orbit_enum import candidate_sizes, delta_census, delta_full, size_bounds
 from .completion import completability_census, count_completions, is_theta_completable
 from .model_export import WeightedModel, export_ideal, export_ip
 
@@ -45,8 +43,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_MISMATCH = 4
-
-_S3 = ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))
 
 
 # ----------------------------------------------------------------------
@@ -65,11 +61,15 @@ def _add_selector(sub: argparse.ArgumentParser, *, theta_only: bool = False) -> 
                      help="degree hint when --theta omits the largest point")
 
 
+def _add_timeout(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--timeout-secs", type=float, default=None,
+                     help="abort after this much search time")
+
+
 def _add_budget(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-nodes", type=int, default=None,
                      help="abort after this many search nodes")
-    sub.add_argument("--timeout-secs", type=float, default=None,
-                     help="abort after this much search time")
+    _add_timeout(sub)
 
 
 def _add_output_format(sub: argparse.ArgumentParser) -> None:
@@ -96,14 +96,14 @@ def _read_square(path: str) -> PartialLatinSquare:
 # structures
 # ----------------------------------------------------------------------
 
-def _table1_lines(upto: int) -> list[str]:
+def _table1_lines(upto: int, deadline: Optional[float]) -> list[str]:
     lines = ["n,m1,m2,m3,m4,m5,m6,m7,m8,structures,classes"]
     for n in range(1, upto + 1):
         cells = [str(n)]
         for m in range(1, 9):
             cells.append(str(cs_nm_count(n, m)) if m <= n // 2 else "")
-        cells.append(str(count_autotopism_structures(n)))
-        cells.append(str(count_parastrophic_classes(n)))
+        cells.append(str(count_autotopism_structures(n, deadline=deadline)))
+        cells.append(str(count_parastrophic_classes(n, deadline=deadline)))
         lines.append(",".join(cells))
     return lines
 
@@ -111,19 +111,21 @@ def _table1_lines(upto: int) -> list[str]:
 def cmd_structures(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ValueError("--n must be at least 1")
+    deadline = deadline_after(args.timeout_secs)
     if args.parastrophic:
         seen = set()
-        for z in enumerate_autotopism_structures(args.n):
+        for z in enumerate_autotopism_structures(args.n, deadline=deadline):
             key = tuple(sorted(str(z.permuted(pi)) for pi in _S3))
             if key not in seen:
                 seen.add(key)
                 print(z)
         return EXIT_OK
     if args.table:
-        print("\n".join(_table1_lines(args.n)))
+        print("\n".join(_table1_lines(args.n, deadline)))
         return EXIT_OK
     for n in range(1, args.n + 1):
-        print(f"{n}: {count_autotopism_structures(n)}, {count_parastrophic_classes(n)}")
+        print(f"{n}: {count_autotopism_structures(n, deadline=deadline)}, "
+              f"{count_parastrophic_classes(n, deadline=deadline)}")
     return EXIT_OK
 
 
@@ -335,6 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the full CSV layout with the min-part columns")
     p.add_argument("--parastrophic", action="store_true",
                    help="list one representative per parastrophic class at order N")
+    _add_timeout(p)
     p.set_defaults(func=cmd_structures)
 
     p = subs.add_parser("census", help="per-size counts of invariant squares")

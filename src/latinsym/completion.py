@@ -5,8 +5,11 @@ full-square count.
 A square P invariant under t is "t-completable" when some full Latin square
 containing P is itself invariant under t.  Through the orbit bijection this
 is a cover question: can P's orbit subset be extended by disjoint valid
-orbits to cover all n^2 cells?  All searches here run on that formulation,
-sharing the cover machinery (and its memo tables) from the census module.
+orbits to cover all n^2 cells?  Everything here runs on that formulation,
+through orbit_enum.CoverCounter.  Counts of covers (count_completions, the
+basis member counts) come from the census module's frontier DP in its
+full-only mode; yes/no questions (is_theta_completable, the completability
+census) go to the memoized cover search, which stops at the first cover.
 An orbit subset is carried as one packed integer, the OR of its orbits'
 ValidOrbitSet.masks, which is also the cover search's memo key.
 """
@@ -182,7 +185,10 @@ def _census_direct(counter: CoverCounter) -> dict[int, int]:
             per_size[ns] = per_size.get(ns, 0) + 1
             rec(i + 1, nxt, ns)
 
-    rec(0, 0, 0)
+    try:
+        rec(0, 0, 0)
+    finally:
+        del rec  # rec holds itself through its closure; free the memo now
     return per_size
 
 
@@ -216,7 +222,7 @@ def completability_census(t: Isotopism, *, max_nodes: Optional[int] = None,
 
 @lru_cache(maxsize=None)
 def count_latin_squares(n: int) -> int:
-    """|LS_n|, counted by the cover search under the identity isotopism."""
+    """|LS_n|, the full squares invariant under the identity isotopism."""
     if n < 1:
         raise ValueError("order must be positive")
     return delta_full(Isotopism.identity(n))

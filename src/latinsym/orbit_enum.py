@@ -19,8 +19,12 @@ time, and the cost grows with the number of distinct states, not with the
 number of squares counted; a level that would outgrow _MAX_LEVEL_BYTES
 aborts the census with StateBudgetExceededError.
 
-Full squares are counted by CoverCounter, a memoized exact-cover search on
-the same packed states.
+Full covers are counted by the same DP in a full-only mode: values are plain
+counts, the state also keeps the cell bits still ahead, and a state leaves
+cell p only if p is covered.  delta_full, count_completions and the basis
+counts all go through it.  CoverCounter, a memoized exact-cover search on the
+same packed states, only decides whether a cover exists, where its early
+exit beats a full DP pass.
 """
 
 from __future__ import annotations
@@ -31,6 +35,12 @@ from itertools import filterfalse
 from math import factorial, gcd, lcm, prod
 from typing import Iterator, NamedTuple, Optional
 
+from .budget import (  # the searches' errors, importable from here too
+    NodeBudgetExceededError,
+    StateBudgetExceededError,
+    TimeBudgetExceededError,
+    _Budget,
+)
 from .perm_algebra import (
     IsotopismStructure,
     is_autotopism_structure,
@@ -44,31 +54,16 @@ from .pls_core import (
     triple_orbits,
 )
 
-_UNBOUNDED = 1 << 62
-
-# Most bytes one census DP level may take.  A state costs about 100 bytes of
-# key and dict entry plus its size polynomial, so the state ceiling of a
-# census is this divided by that estimate: 1.86 million states for the
-# largest census in the tables (1^4,1^4,1^4 uncapped, whose largest level
-# holds 176,699), 1.08 million for an uncapped census at order 5, which
-# would otherwise outgrow memory long before it outgrows the node budget.
+# Most bytes one DP level, or the cover search's memo, may take.  A state
+# costs about _STATE_BYTES of key and dict entry plus, in the census, its size
+# polynomial, so the state ceiling of a census is this divided by that
+# estimate: 1.86 million states for the largest census in the tables
+# (1^4,1^4,1^4 uncapped, whose largest level holds 176,699), 1.08 million
+# for an uncapped census at order 5, which would otherwise outgrow memory
+# long before it outgrows the node budget.  A full count or a cover memo,
+# whose values are plain ints, gets 3.36 million.
 _MAX_LEVEL_BYTES = 320 << 20
-
-
-class BudgetExceededError(RuntimeError):
-    """Base for search aborts."""
-
-
-class NodeBudgetExceededError(BudgetExceededError):
-    pass
-
-
-class TimeBudgetExceededError(BudgetExceededError):
-    pass
-
-
-class StateBudgetExceededError(BudgetExceededError):
-    """A census DP level outgrew the memory ceiling _MAX_LEVEL_BYTES."""
+_STATE_BYTES = 100
 
 
 # ----------------------------------------------------------------------
@@ -252,57 +247,39 @@ class CensusReport:
         return "\n".join(lines) + "\n"
 
 
-class _Budget:
-    """Node and wall-clock accounting for the searches.  A census node is one
-    DP state expanded at one cell, a cover node one cover state expanded;
-    the completability census also charges each square it visits."""
-
-    __slots__ = ("max_nodes", "deadline", "nodes", "_tick")
-
-    def __init__(self, max_nodes: Optional[int], timeout_secs: Optional[float]):
-        self.max_nodes = max_nodes if max_nodes is not None else _UNBOUNDED
-        self.deadline = time.monotonic() + timeout_secs if timeout_secs else None
-        self.nodes = 0
-        self._tick = 0
-
-    def spend(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
-            raise NodeBudgetExceededError(f"node budget {self.max_nodes} exhausted")
-        self._tick += 1
-        if self.deadline is not None and self._tick >= 4096:
-            self._tick = 0
-            if time.monotonic() > self.deadline:
-                raise TimeBudgetExceededError("time budget exhausted")
-
-    def check_time(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise TimeBudgetExceededError("time budget exhausted")
-
-
 # ----------------------------------------------------------------------
-# The census: a level-by-level frontier DP over the cells
+# The census and the full count: a level-by-level frontier DP over the cells
 # ----------------------------------------------------------------------
 
-def _census_levels(ovs: ValidOrbitSet, cap: int, budget: _Budget) -> dict[int, int]:
-    """Per-size counts, sizes 1..cap, of the conflict-free orbit subsets."""
+def _orbit_groups(ovs: ValidOrbitSet, pre: int
+                  ) -> tuple[list[list[tuple[int, int]]], list[int]]:
+    """The (mask, length) pairs of the valid orbits that do not conflict with
+    the packed state pre, grouped under their least cell, and ahead[p]: the
+    state bits that some grouped orbit with least cell >= p touches."""
     N = ovs.n * ovs.n
     groups: list[list[tuple[int, int]]] = [[] for _ in range(N)]
     for mask, ln in zip(ovs.masks, ovs.lengths):
-        groups[(mask & -mask).bit_length() - 1].append((mask, ln))
-    # ahead[p]: the state bits that some orbit with least cell >= p touches
+        if not mask & pre:
+            groups[(mask & -mask).bit_length() - 1].append((mask, ln))
     ahead = [0] * (N + 1)
     for p in range(N - 1, -1, -1):
         ahead[p] = ahead[p + 1]
         for mask, _ in groups[p]:
             ahead[p] |= mask
+    return groups, ahead
+
+
+def _census_levels(ovs: ValidOrbitSet, cap: int, budget: _Budget) -> dict[int, int]:
+    """Per-size counts, sizes 1..cap, of the conflict-free orbit subsets."""
+    N = ovs.n * ovs.n
+    groups, ahead = _orbit_groups(ovs, 0)
     # A size polynomial sum(c_s x^s) is stored as the integer sum(c_s 2^(width s)).
     # At most one orbit per group is placed, so every coefficient stays within
     # the product below and the digits never carry into each other.
     width = prod(len(group) + 1 for group in groups).bit_length()
     window = (1 << width * (cap + 1)) - 1
     spend = budget.spend
-    ceiling = _MAX_LEVEL_BYTES // (100 + width * (cap + 1) // 8)
+    ceiling = _MAX_LEVEL_BYTES // (_STATE_BYTES + width * (cap + 1) // 8)
     level = {0: 1}
     for p in range(N):
         keep = ahead[p + 1]
@@ -384,21 +361,82 @@ def iter_invariant_squares(t: Isotopism, max_size: Optional[int] = None
     yield from rec(0, 0, 0, frozenset())
 
 
+def _full_levels(ovs: ValidOrbitSet, pre: int, budget: _Budget) -> int:
+    """Number of full covers of all n^2 cells by disjoint valid orbits that
+    extend the packed state pre: the census DP in a full-only mode.
+
+    Orbits that conflict with pre are dropped, values are plain counts, and
+    a state leaves cell p only if p is covered, by pre or by an orbit placed
+    so far.
+    """
+    N = ovs.n * ovs.n
+    groups, ahead = _orbit_groups(ovs, pre)
+    cells = (1 << N) - 1
+    spend = budget.spend
+    ceiling = _MAX_LEVEL_BYTES // _STATE_BYTES
+    level = {pre & cells: 1}
+    for p in range(N):
+        # An orbit placed at its least cell can cover a later cell that no
+        # orbit ahead touches, so the state keeps the bits of every cell
+        # after p besides those an orbit ahead can touch.
+        keep = ahead[p + 1] | cells >> (p + 1) << (p + 1)
+        bit = 1 << p
+        moves = [mask for mask, _ in groups[p]]
+        budget.check_time()
+        watch = len(level) * (1 + len(moves)) > ceiling
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for key, count in level.items():
+            spend()
+            if key & bit:
+                # cell p is covered, so every orbit of its group conflicts
+                k = key & keep
+                nxt[k] = get(k, 0) + count
+            else:
+                for mask in moves:
+                    if not key & mask:
+                        k = (key | mask) & keep
+                        nxt[k] = get(k, 0) + count
+            if watch and len(nxt) > ceiling:
+                raise StateBudgetExceededError(
+                    f"full-count level at cell {p} holds {len(nxt)} states, "
+                    f"over its ceiling of {ceiling}"
+                )
+        if not nxt:
+            return 0
+        level = nxt
+    return level.get(0, 0)
+
+
+def delta_full(t: Isotopism, *, max_nodes: Optional[int] = None,
+               timeout_secs: Optional[float] = None) -> int:
+    """Number of full Latin squares invariant under t.
+
+    Counted by the full-only frontier DP rather than by running the whole
+    census and reading off the top size.  max_nodes bounds the DP states
+    expanded.
+    """
+    return _full_levels(build_valid_orbits(t), 0, _Budget(max_nodes, timeout_secs))
+
+
 # ----------------------------------------------------------------------
-# Cover counting (full squares through a partial one)
+# The cover search: does a partial square extend to a full one?
 # ----------------------------------------------------------------------
 
 class CoverCounter:
-    """Counts, or tests for, extensions of an orbit-subset state to a full
-    cover of all n^2 cells by disjoint valid orbits.
+    """Decides whether an orbit-subset state extends to a full cover of all
+    n^2 cells by disjoint valid orbits, and counts those covers.
 
-    Shared by the full-square count and the completability machinery.  A
-    state is the packed integer rc | rs << n^2 | cs << 2n^2 of the orbits
-    placed so far (ValidOrbitSet.masks), which determines the residual
-    problem completely; both memo tables are keyed on it.  Each step branches
-    on the compatible orbits through the uncovered cell with fewest of them,
-    taking the first cell with at most one.  budget.nodes counts the states
-    expanded.
+    Shared by the completability machinery.  A state is the packed integer
+    rc | rs << n^2 | cs << 2n^2 of the orbits placed so far
+    (ValidOrbitSet.masks), which determines the residual problem completely.
+    covers() is a memoized exact-cover search keyed on it that stops at the
+    first cover found; each step branches on the compatible orbits through
+    the uncovered cell with fewest of them, taking the first cell with at
+    most one.  Its memo is capped at _MAX_LEVEL_BYTES // _STATE_BYTES entries.
+    count() runs the full-only frontier DP instead, which is far cheaper than
+    a search that must visit every cover.  budget.nodes counts the search
+    states and DP states expanded.
     """
 
     def __init__(self, ovs: ValidOrbitSet, budget: Optional[_Budget] = None):
@@ -416,7 +454,7 @@ class CoverCounter:
                 m ^= low
         self.by_cell = by_cell
         self.budget = budget or _Budget(None, None)
-        self._count_memo: dict[int, int] = {}
+        self.max_memo = _MAX_LEVEL_BYTES // _STATE_BYTES
         self._can_memo: dict[int, bool] = {}
 
     def _candidates(self, key: int) -> list[int]:
@@ -437,36 +475,27 @@ class CoverCounter:
 
     def count(self, key: int) -> int:
         """Number of full covers extending the packed state key."""
-        if key == self.full:
-            return 1
-        hit = self._count_memo.get(key)
-        if hit is not None:
-            return hit
-        self.budget.spend()
-        total = 0
-        for mask in self._candidates(key):
-            total += self.count(key | mask)
-        self._count_memo[key] = total
-        return total
+        return _full_levels(self.ovs, key, self.budget)
 
     def covers(self, key: int) -> bool:
         """Whether some full cover extends the packed state key."""
         if key == self.full:
             return True
-        hit = self._can_memo.get(key)
+        memo = self._can_memo
+        hit = memo.get(key)
         if hit is not None:
             return hit
-        counted = self._count_memo.get(key)
-        if counted is not None:
-            result = counted > 0
-        else:
-            self.budget.spend()
-            result = False
-            for mask in self._candidates(key):
-                if self.covers(key | mask):
-                    result = True
-                    break
-        self._can_memo[key] = result
+        self.budget.spend()
+        if len(memo) >= self.max_memo:
+            raise StateBudgetExceededError(
+                f"cover memo holds {len(memo)} entries, the ceiling of this search"
+            )
+        result = False
+        for mask in self._candidates(key):
+            if self.covers(key | mask):
+                result = True
+                break
+        memo[key] = result
         return result
 
     def count_from(self, rc: int, rs: int, cs: int) -> int:
@@ -476,18 +505,6 @@ class CoverCounter:
     def can_cover(self, rc: int, rs: int, cs: int) -> bool:
         """covers() of the state given as its three mask families."""
         return self.covers(self.ovs.pack(rc, rs, cs))
-
-
-def delta_full(t: Isotopism, *, max_nodes: Optional[int] = None,
-               timeout_secs: Optional[float] = None) -> int:
-    """Number of full Latin squares invariant under t.
-
-    Counted directly by the cover search rather than by running the whole
-    census and reading off the top size.
-    """
-    ovs = build_valid_orbits(t)
-    counter = CoverCounter(ovs, _Budget(max_nodes, timeout_secs))
-    return counter.count(0)
 
 
 # ----------------------------------------------------------------------

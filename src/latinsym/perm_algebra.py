@@ -15,8 +15,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
+
+from .budget import check_deadline
 
 
 # ----------------------------------------------------------------------
@@ -442,12 +444,14 @@ def is_autotopism_structure(z: IsotopismStructure) -> bool:
     return False
 
 
-def enumerate_autotopism_structures(n: int) -> list[IsotopismStructure]:
+def enumerate_autotopism_structures(n: int, *, deadline: Optional[float] = None
+                                     ) -> list[IsotopismStructure]:
     """All admissible structures of order n.
 
     Components iterate over partitions in descending lexicographic order, the
     triple in row-major order over that sequence; the output order is part of
-    the contract (the reference CSVs and the CLI listings rely on it).
+    the contract (the reference CSVs and the CLI listings rely on it).  Past
+    the time.monotonic() instant deadline, TimeBudgetExceededError is raised.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -462,6 +466,7 @@ def enumerate_autotopism_structures(n: int) -> list[IsotopismStructure]:
     for a in range(npart):
         sa = supports[a]
         for b in range(npart):
+            check_deadline(deadline)
             sb = supports[b]
             kmask = 0
             for i in range(1, n + 1):
@@ -489,15 +494,25 @@ def _support_weights(n: int) -> tuple[list[int], dict[int, int]]:
     return masks, weights
 
 
-@lru_cache(maxsize=None)
-def _pair_kmask_table(n: int) -> dict[tuple[int, int], int]:
-    """K(A, B): admissible-symbol mask for each ordered pair of support masks."""
+_KMASK_TABLES: dict[int, dict[tuple[int, int], int]] = {}
+
+
+def _pair_kmask_table(n: int, deadline: Optional[float] = None
+                      ) -> dict[tuple[int, int], int]:
+    """K(A, B): admissible-symbol mask for each ordered pair of support masks.
+
+    Kept per order once complete; a build cut short by the deadline keeps
+    nothing."""
+    table = _KMASK_TABLES.get(n)
+    if table is not None:
+        return table
     masks, _ = _support_weights(n)
     sym = _symbol_masks(n)
     lengths = list(range(1, n + 1))
     # row_or[i][B] = union of symbol masks over j in B, for a fixed row length i
     row_or: dict[tuple[int, int], int] = {}
     for i in lengths:
+        check_deadline(deadline)
         for b_mask in masks:
             acc = 0
             for j in lengths:
@@ -506,24 +521,19 @@ def _pair_kmask_table(n: int) -> dict[tuple[int, int], int]:
             row_or[(i, b_mask)] = acc
     table: dict[tuple[int, int], int] = {}
     for a_mask in masks:
+        check_deadline(deadline)
         for b_mask in masks:
             acc = 0
             for i in lengths:
                 if a_mask & (1 << (i - 1)):
                     acc |= row_or[(i, b_mask)]
             table[(a_mask, b_mask)] = acc
+    _KMASK_TABLES[n] = table
     return table
 
 
-def count_autotopism_structures(n: int) -> int:
-    """|enumerate_autotopism_structures(n)| without materializing the structures.
-
-    Groups partitions by support set; admissibility of a triple depends only
-    on the three supports, so the count is a weighted sum over support pairs
-    of the number of symbol partitions meeting the admissible-length mask.
-    """
-    masks, weights = _support_weights(n)
-    table = _pair_kmask_table(n)
+def _symbol_hits(weights: dict[int, int]):
+    """hits(kmask): the number of partitions whose support meets kmask."""
     hit_cache: dict[int, int] = {}
 
     def hits(kmask: int) -> int:
@@ -531,37 +541,44 @@ def count_autotopism_structures(n: int) -> int:
             hit_cache[kmask] = sum(w for m, w in weights.items() if m & kmask)
         return hit_cache[kmask]
 
+    return hits
+
+
+def count_autotopism_structures(n: int, *, deadline: Optional[float] = None) -> int:
+    """|enumerate_autotopism_structures(n)| without materializing the structures.
+
+    Groups partitions by support set; admissibility of a triple depends only
+    on the three supports, so the count is a weighted sum over support pairs
+    of the number of symbol partitions meeting the admissible-length mask.
+    Past the time.monotonic() instant deadline, TimeBudgetExceededError is
+    raised.
+    """
+    masks, weights = _support_weights(n)
+    table = _pair_kmask_table(n, deadline)
+    hits = _symbol_hits(weights)
     total = 0
     for a_mask in masks:
+        check_deadline(deadline)
         wa = weights[a_mask]
         for b_mask in masks:
             total += wa * weights[b_mask] * hits(table[(a_mask, b_mask)])
     return total
 
 
-def count_parastrophic_classes(n: int) -> int:
+def count_parastrophic_classes(n: int, *, deadline: Optional[float] = None) -> int:
     """Number of parastrophic classes of admissible structures of order n.
 
     Burnside over the component-permuting action of S_3: the identity fixes
     every admissible structure, each transposition fixes those with the two
     swapped components equal, and each 3-cycle fixes those with all three
     equal.  The admissibility test is symmetric under coordinate permutation,
-    so one transposition count serves for all three.
+    so one transposition count serves for all three.  deadline is as for
+    count_autotopism_structures.
     """
-    masks, weights = _support_weights(n)
+    full = count_autotopism_structures(n, deadline=deadline)
+    _, weights = _support_weights(n)
     table = _pair_kmask_table(n)
-    hit_cache: dict[int, int] = {}
-
-    def hits(kmask: int) -> int:
-        if kmask not in hit_cache:
-            hit_cache[kmask] = sum(w for m, w in weights.items() if m & kmask)
-        return hit_cache[kmask]
-
-    full = 0
-    for a_mask in masks:
-        wa = weights[a_mask]
-        for b_mask in masks:
-            full += wa * weights[b_mask] * hits(table[(a_mask, b_mask)])
+    hits = _symbol_hits(weights)
     two_equal = sum(w * hits(table[(m, m)]) for m, w in weights.items())
     all_equal = sum(w for m, w in weights.items() if m & table[(m, m)])
     numerator = full + 3 * two_equal + 2 * all_equal
@@ -598,8 +615,3 @@ def lower_bound_structures(n: int) -> int:
     for t in lcm_triple_set(n):
         total += cs_nm_count(n, t.i) * cs_nm_count(n, t.j) * cs_nm_count(n, t.k)
     return total
-
-
-def structure_gcd_lcm(i: int, j: int) -> tuple[int, int]:
-    """Convenience pair (gcd, lcm) used by block-size reasoning."""
-    return gcd(i, j), lcm(i, j)

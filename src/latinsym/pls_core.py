@@ -65,12 +65,6 @@ class PartialLatinSquare:
     def is_empty(self) -> bool:
         return not self.cells
 
-    def symbol_at(self, r: int, c: int) -> Optional[int]:
-        for (rr, cc, ss) in self.cells:
-            if rr == r and cc == c:
-                return ss
-        return None
-
     @classmethod
     def from_cells(cls, n: int, cells: Iterable[Sequence[int]]) -> "PartialLatinSquare":
         return cls(n, frozenset((r, c, s) for (r, c, s) in cells))

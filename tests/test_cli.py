@@ -7,6 +7,7 @@ console script sees.
 
 import io
 import json
+import time
 from collections import Counter
 from importlib import resources
 
@@ -59,6 +60,16 @@ def test_structures_parastrophic_representatives(capsys):
     assert out.splitlines() == ["2,2,2", "2,2,1^2", "1^2,1^2,1^2"]
     rc, out, _ = run(capsys, ["structures", "--n", "3", "--parastrophic"])
     assert len(out.splitlines()) == 7
+
+
+@pytest.mark.parametrize("mode", [[], ["--table"], ["--parastrophic"]])
+def test_structures_timeout_exit_code(capsys, mode):
+    # order 40 would run for minutes; each mode must stop soon after the limit
+    started = time.monotonic()
+    rc, _, err = run(capsys, ["structures", "--n", "40", "--timeout-secs", "0.5", *mode])
+    assert rc == 3
+    assert "aborted: time budget exhausted" in err and "Traceback" not in err
+    assert time.monotonic() - started < 20
 
 
 # ----------------------------------------------------------------------
@@ -128,6 +139,22 @@ def test_census_state_ceiling_exit_code(capsys, monkeypatch):
     assert rc == 3
     assert out == ""
     assert "aborted: census level at cell" in err and "Traceback" not in err
+
+
+def test_census_full_only_state_ceiling_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr("latinsym.orbit_enum._MAX_LEVEL_BYTES", 1 << 20)
+    rc, out, err = run(capsys, ["census", "--z", "1^5,1^5,1^5", "--full-only"])
+    assert rc == 3
+    assert out == ""
+    assert "aborted: full-count level at cell" in err and "Traceback" not in err
+
+
+def test_ccensus_memo_ceiling_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr("latinsym.orbit_enum._MAX_LEVEL_BYTES", 100 * 1000)
+    rc, out, err = run(capsys, ["ccensus", "--z", "1^3,1^3,1^3"])
+    assert rc == 3
+    assert out == ""
+    assert "aborted: cover memo holds 1000 entries" in err and "Traceback" not in err
 
 
 def test_bad_structure_spec_is_usage_error(capsys):

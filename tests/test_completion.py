@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import time
+import weakref
 from collections import Counter
 
 import pytest
@@ -17,12 +19,14 @@ from latinsym.pls_core import (
 )
 from latinsym.orbit_enum import (
     NodeBudgetExceededError,
+    StateBudgetExceededError,
     TimeBudgetExceededError,
     build_valid_orbits,
     delta_census,
     delta_full,
     iter_invariant_squares,
 )
+from latinsym import completion
 from latinsym.completion import (
     ShapeSet,
     basis_from_shape,
@@ -253,6 +257,34 @@ def test_census_budget_is_charged_per_square():
     # every completable square counted was charged once, cover states on top
     rep = completability_census(rep_of("1^3,1^3,1^3"))
     assert rep.node_count > rep.total == 5835
+
+
+def test_cover_memo_ceiling(monkeypatch):
+    # a ceiling of 1000 memo entries; the census of 1^3 fills 8,109, one of
+    # 2.1,2.1,2.1 only 94
+    monkeypatch.setattr("latinsym.orbit_enum._MAX_LEVEL_BYTES", 100 * 1000)
+    with pytest.raises(StateBudgetExceededError, match=r"cover memo holds 1000 entries"):
+        completability_census(rep_of("1^3,1^3,1^3"))
+    assert completability_census(rep_of("2.1,2.1,2.1")).total == 109
+
+
+def test_census_frees_its_cover_memo_on_return(monkeypatch):
+    # the memo goes when the census returns, not at the next cyclic collection
+    refs = []
+
+    def counter_for(*args):
+        counter = real_counter_for(*args)
+        refs.append(weakref.ref(counter))
+        return counter
+
+    real_counter_for = completion._counter_for
+    monkeypatch.setattr(completion, "_counter_for", counter_for)
+    gc.disable()
+    try:
+        assert completability_census(rep_of("2.1,2.1,2.1")).total == 109
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_completability_constant_on_isotopy_classes_small():

@@ -276,6 +276,35 @@ def test_cover_counter_budget():
         delta_full(t, max_nodes=10)
 
 
+def test_delta_full_matches_oracle():
+    # every structure of order <= 4, against the Latin squares it fixes
+    for n in (1, 2, 3, 4):
+        squares = oracles.all_latin_squares(n)
+        for z in enumerate_autotopism_structures(n):
+            t = canonical_isotopism(z)
+            theta = (t.alpha.images, t.beta.images, t.gamma.images)
+            expected = sum(1 for L in squares if oracles.act(theta, L) == L)
+            got = delta_full(t)
+            assert type(got) is int and got == expected, str(z)
+
+
+def test_delta_full_orders_five_and_six():
+    # |LS_5| (McKay & Wanless 2005), and the count the memoized cover search
+    # gave for an order-6 structure
+    assert delta_full(rep_of("1^5,1^5,1^5")) == 161280
+    assert delta_full(rep_of("2^3,2^3,1^6")) == 460800
+
+
+def test_full_count_live_state_ceiling(monkeypatch):
+    # a 1 MiB level holds 10,485 plain-count states; 1^5 needs a level of
+    # 14,770, 1^4 and 2^3,2^3,1^6 stay under the ceiling
+    monkeypatch.setattr(orbit_enum, "_MAX_LEVEL_BYTES", 1 << 20)
+    with pytest.raises(StateBudgetExceededError, match=r"level at cell \d+ holds \d+ states"):
+        delta_full(rep_of("1^5,1^5,1^5"))
+    assert delta_full(rep_of("1^4,1^4,1^4")) == 576
+    assert delta_full(rep_of("2^3,2^3,1^6")) == 460800
+
+
 # ----------------------------------------------------------------------
 # Closed forms
 # ----------------------------------------------------------------------
