@@ -42,7 +42,7 @@ class _Budget:
     """Node and wall-clock accounting for the searches.  A census or
     full-count node is one DP state expanded at one cell, a cover node one
     decision-search state expanded; the completability census also charges
-    each square it visits."""
+    each ZDD node and memo entry it makes."""
 
     __slots__ = ("max_nodes", "deadline", "nodes", "_tick")
 

@@ -11,7 +11,8 @@ diagnostics go to stderr so stdout stays byte-identical from run to run.
 The census counts by a frontier DP whose state is one packed integer of the
 three conflict masks; its node count is the number of DP states expanded.
 census --full-only and complete --count run the same DP in its full-only
-mode.
+mode, and ccensus counts the down-closure of the ZDD of full covers that
+this mode builds.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from .budget import BudgetExceededError, deadline_after
 from .perm_algebra import (
     _S3,
     IsotopismStructure,
-    count_autotopism_structures,
-    count_parastrophic_classes,
+    count_structures_and_classes,
     cs_nm_count,
     enumerate_autotopism_structures,
 )
@@ -102,8 +102,7 @@ def _table1_lines(upto: int, deadline: Optional[float]) -> list[str]:
         cells = [str(n)]
         for m in range(1, 9):
             cells.append(str(cs_nm_count(n, m)) if m <= n // 2 else "")
-        cells.append(str(count_autotopism_structures(n, deadline=deadline)))
-        cells.append(str(count_parastrophic_classes(n, deadline=deadline)))
+        cells += map(str, count_structures_and_classes(n, deadline=deadline))
         lines.append(",".join(cells))
     return lines
 
@@ -112,20 +111,20 @@ def cmd_structures(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ValueError("--n must be at least 1")
     deadline = deadline_after(args.timeout_secs)
+    # every mode prints only once complete, so an abort leaves stdout empty
     if args.parastrophic:
-        seen = set()
+        lines, seen = [], set()
         for z in enumerate_autotopism_structures(args.n, deadline=deadline):
             key = tuple(sorted(str(z.permuted(pi)) for pi in _S3))
             if key not in seen:
                 seen.add(key)
-                print(z)
-        return EXIT_OK
-    if args.table:
-        print("\n".join(_table1_lines(args.n, deadline)))
-        return EXIT_OK
-    for n in range(1, args.n + 1):
-        print(f"{n}: {count_autotopism_structures(n, deadline=deadline)}, "
-              f"{count_parastrophic_classes(n, deadline=deadline)}")
+                lines.append(str(z))
+    elif args.table:
+        lines = _table1_lines(args.n, deadline)
+    else:
+        lines = ["{}: {}, {}".format(n, *count_structures_and_classes(n, deadline=deadline))
+                 for n in range(1, args.n + 1)]
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -263,10 +262,10 @@ def _diff_table1() -> tuple[list[str], int]:
             got = cs_nm_count(n, m)
             if got != int(ref):
                 mismatches.append(f"n={n} m={m}: computed {got}, reference {ref}")
-        for label, got in (("structures", count_autotopism_structures(n)),
-                           ("classes", count_parastrophic_classes(n))):
+        counts = count_structures_and_classes(n)
+        for label, got, ref in zip(("structures", "classes"), counts, row[9:11]):
             cells += 1
-            ref = int(row[9 if label == "structures" else 10])
+            ref = int(ref)
             if got != ref:
                 mismatches.append(f"n={n} {label}: computed {got}, reference {ref}")
     return mismatches, cells

@@ -5,11 +5,13 @@ full-square count.
 A square P invariant under t is "t-completable" when some full Latin square
 containing P is itself invariant under t.  Through the orbit bijection this
 is a cover question: can P's orbit subset be extended by disjoint valid
-orbits to cover all n^2 cells?  Everything here runs on that formulation,
-through orbit_enum.CoverCounter.  Counts of covers (count_completions, the
-basis member counts) come from the census module's frontier DP in its
-full-only mode; yes/no questions (is_theta_completable, the completability
-census) go to the memoized cover search, which stops at the first cover.
+orbits to cover all n^2 cells?  Everything here runs on that formulation.
+Counts of covers (count_completions, the basis member counts) come from the
+census module's frontier DP in its full-only mode; the yes/no question for
+one square (is_theta_completable) goes to the memoized cover search
+orbit_enum.CoverCounter, which stops at the first cover.  The completability
+census asks no question per square: it counts by size the down-closure of
+the ZDD of all full covers, which holds exactly the completable squares.
 An orbit subset is carried as one packed integer, the OR of its orbits'
 ValidOrbitSet.masks, which is also the cover search's memo key.
 """
@@ -21,48 +23,21 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .perm_algebra import IsotopismStructure
 from .pls_core import Isotopism, PartialLatinSquare, is_autotopism
 from .orbit_enum import (
+    CensusReport,
     CoverCounter,
     ValidOrbitSet,
     _Budget,
+    _full_zdd,
     build_valid_orbits,
     delta_full,
 )
 
 
 # ----------------------------------------------------------------------
-# Report and basis types
+# Basis types
 # ----------------------------------------------------------------------
-
-@dataclass
-class CompletabilityReport:
-    """Per-size counts of invariant squares that extend to invariant full ones."""
-
-    structure: IsotopismStructure
-    per_size: dict[int, int]
-    total: int
-    elapsed: float
-    node_count: int
-
-    def count(self, size: int) -> int:
-        return self.per_size.get(size, 0)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "structure": str(self.structure),
-            "per_size": {str(k): v for k, v in sorted(self.per_size.items())},
-            "total": self.total,
-            "diagnostics": {"elapsed": self.elapsed, "node_count": self.node_count},
-        }
-
-    def to_csv(self) -> str:
-        lines = ["size,count"]
-        lines += [f"{s},{c}" for s, c in sorted(self.per_size.items())]
-        lines.append(f"total,{self.total}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass
 class ThetaBasis:
@@ -163,56 +138,29 @@ def is_completable(P: PartialLatinSquare, *,
 # Completability census
 # ----------------------------------------------------------------------
 
-def _census_direct(counter: CoverCounter) -> dict[int, int]:
-    """DFS over orbit subsets; a non-completable node prunes its whole
-    subtree, since supersets of a non-completable square stay non-completable.
-    Each square visited is charged to the budget, so the walk stays bounded
-    even when every cover query is a memo hit."""
-    masks, lns = counter.ovs.masks, counter.ovs.lengths
-    covers, spend = counter.covers, counter.budget.spend
-    per_size: dict[int, int] = {}
-
-    def rec(start: int, key: int, size: int) -> None:
-        for i in range(start, len(masks)):
-            mask = masks[i]
-            if key & mask:
-                continue
-            spend()
-            nxt = key | mask
-            if not covers(nxt):
-                continue
-            ns = size + lns[i]
-            per_size[ns] = per_size.get(ns, 0) + 1
-            rec(i + 1, nxt, ns)
-
-    try:
-        rec(0, 0, 0)
-    finally:
-        del rec  # rec holds itself through its closure; free the memo now
-    return per_size
-
-
 def completability_census(t: Isotopism, *, max_nodes: Optional[int] = None,
-                          timeout_secs: Optional[float] = None
-                          ) -> CompletabilityReport:
+                          timeout_secs: Optional[float] = None) -> CensusReport:
     """Count, for each size, the invariant squares that are t-completable.
 
-    Every invariant square is visited by a depth-first walk over the orbit
-    subsets and decided by a memoized cover query on its packed state; a
-    square that does not complete prunes all its supersets.  The count is
-    exact at every order.  max_nodes bounds the squares visited plus the
-    cover states expanded; budget violations raise NodeBudgetExceededError /
-    TimeBudgetExceededError.
+    A square is t-completable exactly when its orbit set is a subset of the
+    orbit set of some invariant full square.  So the census is the size
+    count of the down-closure of the family of full covers, taken on their
+    ZDD.  The count is exact at every order.  node_count is the DP states,
+    ZDD nodes and memo entries made, which max_nodes bounds; budget
+    violations raise NodeBudgetExceededError / TimeBudgetExceededError, and
+    tables that would outgrow their memory ceiling StateBudgetExceededError.
     """
     started = time.monotonic()
-    counter = _counter_for(t, max_nodes, timeout_secs)
-    per_size = _census_direct(counter)
-    return CompletabilityReport(
+    budget = _Budget(max_nodes, timeout_secs)
+    zdd, root = _full_zdd(build_valid_orbits(t), budget)
+    per_size = zdd.size_counts(zdd.down_closure(root))
+    per_size.pop(0, None)  # the empty square
+    return CensusReport(
         structure=t.structure(),
         per_size=per_size,
         total=sum(per_size.values()),
         elapsed=time.monotonic() - started,
-        node_count=counter.budget.nodes,
+        node_count=budget.nodes,
     )
 
 

@@ -22,9 +22,11 @@ aborts the census with StateBudgetExceededError.
 Full covers are counted by the same DP in a full-only mode: values are plain
 counts, the state also keeps the cell bits still ahead, and a state leaves
 cell p only if p is covered.  delta_full, count_completions and the basis
-counts all go through it.  CoverCounter, a memoized exact-cover search on the
-same packed states, only decides whether a cover exists, where its early
-exit beats a full DP pass.
+counts all go through it.  Keeping every level of that DP gives the family
+of full covers as a ZDD over the valid orbits (_full_zdd), whose
+down-closure is the completability census.  CoverCounter, a memoized
+exact-cover search on the same packed states, only decides whether a cover
+exists, where its early exit beats a full DP pass.
 """
 
 from __future__ import annotations
@@ -61,9 +63,13 @@ from .pls_core import (
 # (1^4,1^4,1^4 uncapped, whose largest level holds 176,699), 1.08 million
 # for an uncapped census at order 5, which would otherwise outgrow memory
 # long before it outgrows the node budget.  A full count or a cover memo,
-# whose values are plain ints, gets 3.36 million.
+# whose values are plain ints, gets 3.36 million.  A ZDD node or memo entry
+# measured 90 to 100 bytes by tracemalloc and about 112 bytes of RSS (at
+# 1^5, which stops at 2.1 million entries and 255 MB); the margin covers the
+# size polynomials of the final count.
 _MAX_LEVEL_BYTES = 320 << 20
 _STATE_BYTES = 100
+_ZDD_ENTRY_BYTES = 150
 
 
 # ----------------------------------------------------------------------
@@ -361,19 +367,23 @@ def iter_invariant_squares(t: Isotopism, max_size: Optional[int] = None
     yield from rec(0, 0, 0, frozenset())
 
 
-def _full_levels(ovs: ValidOrbitSet, pre: int, budget: _Budget) -> int:
+def _full_levels(ovs: ValidOrbitSet, pre: int, budget: _Budget,
+                 trail: Optional[list] = None) -> int:
     """Number of full covers of all n^2 cells by disjoint valid orbits that
     extend the packed state pre: the census DP in a full-only mode.
 
     Orbits that conflict with pre are dropped, values are plain counts, and
     a state leaves cell p only if p is covered, by pre or by an orbit placed
-    so far.
+    so far.  If trail is a list, (group, keep, level) is appended to it for
+    every cell, level being the states before the cell, and the state
+    ceiling bounds the kept levels and the current one together.
     """
     N = ovs.n * ovs.n
     groups, ahead = _orbit_groups(ovs, pre)
     cells = (1 << N) - 1
     spend = budget.spend
     ceiling = _MAX_LEVEL_BYTES // _STATE_BYTES
+    kept = 0
     level = {pre & cells: 1}
     for p in range(N):
         # An orbit placed at its least cell can cover a later cell that no
@@ -382,8 +392,12 @@ def _full_levels(ovs: ValidOrbitSet, pre: int, budget: _Budget) -> int:
         keep = ahead[p + 1] | cells >> (p + 1) << (p + 1)
         bit = 1 << p
         moves = [mask for mask, _ in groups[p]]
+        if trail is not None:
+            trail.append((groups[p], keep, level))
+            kept += len(level)
         budget.check_time()
-        watch = len(level) * (1 + len(moves)) > ceiling
+        limit = ceiling - kept
+        watch = len(level) * (1 + len(moves)) > limit
         nxt: dict[int, int] = {}
         get = nxt.get
         for key, count in level.items():
@@ -397,10 +411,11 @@ def _full_levels(ovs: ValidOrbitSet, pre: int, budget: _Budget) -> int:
                     if not key & mask:
                         k = (key | mask) & keep
                         nxt[k] = get(k, 0) + count
-            if watch and len(nxt) > ceiling:
+            if watch and len(nxt) > limit:
                 raise StateBudgetExceededError(
-                    f"full-count level at cell {p} holds {len(nxt)} states, "
-                    f"over its ceiling of {ceiling}"
+                    f"full-count level at cell {p} holds {len(nxt)} states"
+                    + (f" beside {kept} kept" if kept else "")
+                    + f", over its ceiling of {ceiling}"
                 )
         if not nxt:
             return 0
@@ -417,6 +432,197 @@ def delta_full(t: Isotopism, *, max_nodes: Optional[int] = None,
     expanded.
     """
     return _full_levels(build_valid_orbits(t), 0, _Budget(max_nodes, timeout_secs))
+
+
+# ----------------------------------------------------------------------
+# The family of full covers as a ZDD
+# ----------------------------------------------------------------------
+
+class _Zdd:
+    """A zero-suppressed decision diagram (Minato, DAC 1993; Knuth, TAOCP 4A
+    7.1.4) over variables 0..V-1, variable v standing for an orbit of
+    lengths[v] cells.
+
+    Node 0 is the empty family and node 1 the family of the empty set; node
+    i > 1 tests var[i], with lo[i] the members without it and hi[i] the
+    members with it, less it.  A node's children have lower ids and higher
+    variables.  Every node made and every memo entry is charged to the
+    budget and takes one unit of room; running out of room raises
+    StateBudgetExceededError.  Nothing here recurses.
+    """
+
+    __slots__ = ("lengths", "width", "var", "lo", "hi", "unique", "memo",
+                 "budget", "room")
+
+    def __init__(self, lengths: list[int], width: int, budget: _Budget, room: int):
+        self.lengths = lengths
+        self.width = width  # digit width of the size polynomials
+        top = len(lengths)  # the terminals test no variable
+        self.var, self.lo, self.hi = [top, top], [0, 1], [0, 1]
+        self.unique: dict[int, int] = {}
+        self.memo: dict[int, int] = {}
+        self.budget = budget
+        self.room = room
+
+    def _charge(self) -> None:
+        self.budget.spend()
+        self.room -= 1
+        if self.room < 0:
+            raise StateBudgetExceededError(
+                f"ZDD holds {len(self.var)} nodes and {len(self.memo)} memo "
+                "entries, the ceiling of this census"
+            )
+
+    def node(self, v: int, lo: int, hi: int) -> int:
+        """The node testing v over lo and hi, shared if it exists."""
+        if not hi:
+            return lo
+        key = (v << 32 | lo) << 32 | hi
+        got = self.unique.get(key)
+        if got is None:
+            self._charge()
+            got = self.unique[key] = len(self.var)
+            self.var.append(v)
+            self.lo.append(lo)
+            self.hi.append(hi)
+        return got
+
+    def union(self, f: int, g: int) -> int:
+        """The node of the union of the families of f and g."""
+        if f == g or not g:
+            return f
+        if not f:
+            return g
+        if f > g:
+            f, g = g, f
+        memo = self.memo
+        got = memo.get(f << 32 | g)
+        if got is not None:
+            return got
+        var, lo, hi, node = self.var, self.lo, self.hi, self.node
+        # A pair (a, b) on the stack has 0 < a < b, and each pair is a
+        # sub-problem of the one below it with a higher least variable, so
+        # the stack holds at most V + 1 pairs.
+        stack = [(f, g)]
+        while stack:
+            a, b = stack[-1]
+            v, vb = var[a], var[b]
+            if v == vb:
+                x, y, u, w = lo[a], lo[b], hi[a], hi[b]
+            elif v < vb:
+                x, y, u, w = lo[a], b, hi[a], 0
+            else:
+                v, x, y, u, w = vb, a, lo[b], hi[b], 0
+            # low = union(x, y), high = union(u, w)
+            if x == y or not y:
+                low = x
+            elif not x:
+                low = y
+            else:
+                if x > y:
+                    x, y = y, x
+                low = memo.get(x << 32 | y)
+                if low is None:
+                    stack.append((x, y))
+                    continue
+            if u == w or not w:
+                high = u
+            elif not u:
+                high = w
+            else:
+                if u > w:
+                    u, w = w, u
+                high = memo.get(u << 32 | w)
+                if high is None:
+                    stack.append((u, w))
+                    continue
+            stack.pop()
+            got = memo[a << 32 | b] = node(v, low, high)
+            self._charge()
+        return got
+
+    def down_closure(self, root: int) -> int:
+        """The node of every subset of a member of root's family:
+        down(v, lo, hi) = node(v, union(down lo, down hi), down hi), taken
+        over the whole table in id order, children first."""
+        var, lo, hi = self.var, self.lo, self.hi
+        down = [0, 1]
+        for i in range(2, len(var)):
+            self._charge()
+            high = down[hi[i]]
+            down.append(self.node(var[i], self.union(down[lo[i]], high), high))
+        return down[root]
+
+    def size_counts(self, root: int) -> dict[int, int]:
+        """Number of members of root's family by size, the size of a member
+        being the total length of its orbits.  Counting makes no nodes, so
+        the unique table and the memo are dropped first."""
+        self.unique.clear()
+        self.memo.clear()
+        var, lo, hi, lengths, width = self.var, self.lo, self.hi, self.lengths, self.width
+        seen = bytearray(root + 1)
+        seen[root] = 1
+        for i in range(root, 1, -1):
+            if seen[i]:
+                seen[lo[i]] = seen[hi[i]] = 1
+        # size polynomials packed as in the census DP, one digit per size
+        poly = {0: 0, 1: 1}
+        for i in range(2, root + 1):
+            if seen[i]:
+                poly[i] = poly[lo[i]] + (poly[hi[i]] << lengths[var[i]] * width)
+        top = poly[root]
+        digit = (1 << width) - 1
+        return {s: c for s in range(top.bit_length() // width + 1)
+                if (c := (top >> width * s) & digit)}
+
+
+def _full_zdd(ovs: ValidOrbitSet, budget: _Budget) -> tuple[_Zdd, int]:
+    """The family of full covers as a ZDD, and its root.
+
+    The variables are the valid orbits ordered by least cell, then by
+    position in the cell's group.  The full-only DP runs forward keeping
+    every level; then each state becomes a node, cell by cell from the last:
+    the final state 0 is the family of the empty set, and a state that
+    cannot reach it is the empty family.  At a covered cell a state is its
+    successor's node; at a free cell it is a chain over the compatible
+    orbits of the cell's group, each leading to its successor.  Every full
+    cover is exactly one path, so the ZDD holds the full covers and nothing
+    else.  The kept levels and the ZDD's tables together stay within
+    _MAX_LEVEL_BYTES.
+    """
+    trail: list = []
+    found = _full_levels(ovs, 0, budget, trail)
+    lengths = [ln for group, _, _ in trail for _, ln in group]
+    # a family in the closure holds at most one orbit per group, so its
+    # size count is bounded as in the census DP
+    width = prod(len(group) + 1 for group, _, _ in trail).bit_length()
+    kept = sum(len(level) for _, _, level in trail)
+    room = (_MAX_LEVEL_BYTES - kept * _STATE_BYTES) // _ZDD_ENTRY_BYTES
+    zdd = _Zdd(lengths, width, budget, room)
+    if not found:  # the DP stopped at an empty level; the trail is cut short
+        return zdd, 0
+    node = zdd.node
+    first = len(lengths)
+    nodes = {0: 1}
+    for p in range(len(trail) - 1, -1, -1):
+        group, keep, level = trail.pop()
+        budget.check_time()
+        first -= len(group)
+        bit = 1 << p
+        moves = [(first + j, mask) for j, (mask, _) in enumerate(group)][::-1]
+        here: dict[int, int] = {}
+        for key in level:
+            if key & bit:
+                got = nodes.get(key & keep, 0)
+            else:
+                got = 0
+                for v, mask in moves:
+                    if not key & mask:
+                        got = node(v, got, nodes.get((key | mask) & keep, 0))
+            if got:
+                here[key] = got
+        nodes = here
+    return zdd, nodes.get(0, 0)
 
 
 # ----------------------------------------------------------------------

@@ -575,6 +575,14 @@ def count_parastrophic_classes(n: int, *, deadline: Optional[float] = None) -> i
     so one transposition count serves for all three.  deadline is as for
     count_autotopism_structures.
     """
+    return count_structures_and_classes(n, deadline=deadline)[1]
+
+
+def count_structures_and_classes(n: int, *, deadline: Optional[float] = None
+                                 ) -> tuple[int, int]:
+    """count_autotopism_structures(n) and count_parastrophic_classes(n), with
+    the structure count, the identity term of the classes' Burnside sum,
+    computed once."""
     full = count_autotopism_structures(n, deadline=deadline)
     _, weights = _support_weights(n)
     table = _pair_kmask_table(n)
@@ -584,7 +592,7 @@ def count_parastrophic_classes(n: int, *, deadline: Optional[float] = None) -> i
     numerator = full + 3 * two_equal + 2 * all_equal
     if numerator % 6:
         raise AssertionError("Burnside sum not divisible by the group order")
-    return numerator // 6
+    return full, numerator // 6
 
 
 _S3 = ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))

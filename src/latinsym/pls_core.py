@@ -101,7 +101,7 @@ class PartialLatinSquare:
         obj = json.loads(text)
         try:
             return cls.from_cells(int(obj["n"]), obj["cells"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError('square JSON needs an integer "n" and "cells" as a '
                              f"list of [row, col, symbol] triples ({exc!r})") from None
 

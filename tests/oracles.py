@@ -2,9 +2,11 @@
 
 Everything in here trades speed for obviousness: direct definitions, no
 bitmasks, no caching beyond memoizing whole result sets.  Test modules check
-the fast library code against these on small orders.  The one exception is
-census_by_walker, the plain depth-first census over the library's valid-orbit
-masks, kept to check the census DP on orders where walking is affordable.
+the fast library code against these on small orders.  The two exceptions
+are walks over the library's valid-orbit masks, kept to check a DP on orders
+where walking is affordable: census_by_walker checks the census DP, and
+completability_by_walker, which asks the library's cover search about every
+square it visits, checks the completability census.
 """
 
 from __future__ import annotations
@@ -199,3 +201,33 @@ def census_by_walker(t, max_size=None) -> dict[int, int]:
 
     walk(0, 0, 0, 0, 0)
     return {s: c for s, c in enumerate(per_size) if c}
+
+
+# ------------------------------------------------------- completability
+
+def completability_by_walker(t) -> dict[int, int]:
+    """Per-size counts of the t-completable non-empty invariant squares, by a
+    depth-first walk over the orbit subsets that asks the library's cover
+    search about each one.  A square that does not complete prunes all its
+    supersets, since they do not complete either."""
+    from latinsym.orbit_enum import CoverCounter, build_valid_orbits
+
+    counter = CoverCounter(build_valid_orbits(t))
+    masks, lns = counter.ovs.masks, counter.ovs.lengths
+    covers = counter.covers
+    per_size: dict[int, int] = {}
+
+    def walk(start: int, key: int, size: int) -> None:
+        for i in range(start, len(masks)):
+            mask = masks[i]
+            if key & mask:
+                continue
+            nxt = key | mask
+            if not covers(nxt):
+                continue
+            ns = size + lns[i]
+            per_size[ns] = per_size.get(ns, 0) + 1
+            walk(i + 1, nxt, ns)
+
+    walk(0, 0, 0)
+    return per_size

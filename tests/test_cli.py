@@ -7,11 +7,15 @@ console script sees.
 
 import io
 import json
+import re
+import sys
 import time
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from latinsym.cli import main
@@ -66,8 +70,9 @@ def test_structures_parastrophic_representatives(capsys):
 def test_structures_timeout_exit_code(capsys, mode):
     # order 40 would run for minutes; each mode must stop soon after the limit
     started = time.monotonic()
-    rc, _, err = run(capsys, ["structures", "--n", "40", "--timeout-secs", "0.5", *mode])
+    rc, out, err = run(capsys, ["structures", "--n", "40", "--timeout-secs", "0.5", *mode])
     assert rc == 3
+    assert out == ""  # no partial table
     assert "aborted: time budget exhausted" in err and "Traceback" not in err
     assert time.monotonic() - started < 20
 
@@ -150,11 +155,12 @@ def test_census_full_only_state_ceiling_exit_code(capsys, monkeypatch):
 
 
 def test_ccensus_memo_ceiling_exit_code(capsys, monkeypatch):
+    # the ZDD's node and memo tables share the ceiling
     monkeypatch.setattr("latinsym.orbit_enum._MAX_LEVEL_BYTES", 100 * 1000)
     rc, out, err = run(capsys, ["ccensus", "--z", "1^3,1^3,1^3"])
     assert rc == 3
     assert out == ""
-    assert "aborted: cover memo holds 1000 entries" in err and "Traceback" not in err
+    assert "aborted: ZDD holds" in err and "Traceback" not in err
 
 
 def test_bad_structure_spec_is_usage_error(capsys):
@@ -224,6 +230,7 @@ def test_complete_rejects_non_invariant_square(tmp_path, capsys):
     '{"n": null, "cells": []}',
     '{"n": 3, "cells": 7}',
     '{"n": 3, "cells": [["a", "b", "c"]]}',
+    '{"n": Infinity, "cells": []}',
 ])
 def test_complete_malformed_json_square_is_usage_error(payload, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(payload))
@@ -372,3 +379,82 @@ def test_structures_rejects_nonpositive_order(capsys):
     rc, _, err = run(capsys, ["structures", "--n", "0"])
     assert rc == 2
     assert "at least 1" in err
+
+
+# ----------------------------------------------------------------------
+# parser fuzz: whatever the text, the exit is 0, 2 or 3, never a traceback
+# ----------------------------------------------------------------------
+
+def _short_numbers(text: str) -> bool:
+    # one-digit numbers keep every parsed order small, so a valid spec's
+    # --sizes report stays quick and no parse builds a huge permutation
+    return all(len(run) == 1 for run in re.findall(r"\d+", text))
+
+
+_SPECS = st.one_of(
+    st.text(max_size=20),
+    st.text(alphabet="()[],;.^ 0123-x", max_size=20),
+).filter(_short_numbers)
+_THETAS = st.one_of(_SPECS, st.lists(_SPECS, min_size=3, max_size=3).map(";".join))
+_STRUCTURES = st.one_of(_SPECS, st.lists(_SPECS, min_size=3, max_size=3).map(",".join))
+_TEXT_SQUARES = st.one_of(
+    st.lists(st.lists(st.sampled_from([".", "0", "1", "2", "3", "4", "-1", "x", "1.0"]),
+                      max_size=4), max_size=4)
+    .map(lambda rows: "\n".join(" ".join(row) for row in rows)),
+    st.text(max_size=30).filter(_short_numbers),
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=12,
+)
+_JSON_SQUARES = st.one_of(
+    st.fixed_dictionaries({
+        "n": st.one_of(st.integers(-1, 4), _JSON_VALUES, st.sampled_from(
+            [float("inf"), float("-inf"), float("nan"), 2.5, "3", True])),
+        "cells": st.one_of(st.lists(st.lists(st.integers(-1, 4), max_size=4), max_size=5),
+                           _JSON_VALUES),
+    }),
+    _JSON_VALUES,
+).map(json.dumps)
+_FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+def _exit_code(argv: list[str], stdin: str = "") -> int:
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        return exc.code
+    finally:
+        sys.stdin = saved
+
+
+@_FUZZ
+@given(_STRUCTURES)
+def test_fuzz_structure_specs(text):
+    assert _exit_code(["census", "--z", text, "--sizes"]) in (0, 2, 3)
+
+
+@_FUZZ
+@given(_THETAS)
+def test_fuzz_isotopism_specs(text):
+    assert _exit_code(["census", "--theta", text, "--sizes"]) in (0, 2, 3)
+    assert _exit_code(["complete", "--theta", text, "--pls", "-"], COUNTEREXAMPLE_3) in (0, 2, 3)
+
+
+@_FUZZ
+@given(_TEXT_SQUARES, st.booleans())
+def test_fuzz_text_squares(text, count):
+    argv = ["complete", "--z", "2.1,2.1,2.1", "--pls", "-"] + ["--count"] * count
+    assert _exit_code(argv, text) in (0, 2, 3)
+
+
+@_FUZZ
+@given(_JSON_SQUARES, st.booleans())
+def test_fuzz_json_squares(text, count):
+    argv = ["complete", "--z", "2.1,2.1,2.1", "--pls", "-"] + ["--count"] * count
+    assert _exit_code(argv, text) in (0, 2, 3)

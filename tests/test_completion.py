@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import csv
 import gc
 import random
 import time
 import weakref
 from collections import Counter
+from importlib import resources
 
 import pytest
 
@@ -26,7 +28,7 @@ from latinsym.orbit_enum import (
     delta_full,
     iter_invariant_squares,
 )
-from latinsym import completion
+from latinsym import orbit_enum
 from latinsym.completion import (
     ShapeSet,
     basis_from_shape,
@@ -251,34 +253,78 @@ def test_completability_census_matches_oracle():
             assert completability_census(t).per_size == dict(expected), str(z)
 
 
-def test_census_budget_is_charged_per_square():
+def test_completability_census_matches_walk():
+    # the ZDD census against a walk over every invariant square that asks
+    # the cover search about each one
+    table5 = (resources.files("latinsym") / "data" / "table5.csv").read_text()
+    specs = [row[1] for row in csv.reader(table5.splitlines()[1:]) if row]
+    specs += [str(z) for n in (1, 2, 3, 4) for z in enumerate_autotopism_structures(n)
+              if str(z) != "1^4,1^4,1^4"]
+    specs.append("3.1^2,3.1^2,3.1^2")
+    for spec in specs:
+        t = rep_of(spec)
+        assert completability_census(t).per_size == oracles.completability_by_walker(t), spec
+
+
+def test_completability_census_identity_order_four():
+    # the walk takes minutes here; every partial Latin square of size below
+    # n completes (Evans's conjecture, proved by Smetaniuk in 1981), so those
+    # sizes equal the size spectrum, and the top term is |LS_4|
+    t = Isotopism.identity(4)
+    rep = completability_census(t)
+    assert rep.per_size == {
+        1: 64, 2: 1728, 3: 25920, 4: 225936, 5: 1095552, 6: 2979648, 7: 5210496,
+        8: 6556464, 9: 6209280, 10: 4498560, 11: 2495232, 12: 1046592, 13: 322560,
+        14: 69120, 15: 9216, 16: 576,
+    }
+    assert rep.total == 30746944
+    assert {s: c for s, c in rep.per_size.items() if s <= 3} \
+        == delta_census(t, max_size=3).per_size
+    assert rep.per_size[16] == count_latin_squares(4) == 576
+
+
+def test_census_budget_bounds_ccensus():
     with pytest.raises(NodeBudgetExceededError):
-        completability_census(rep_of("3.1^2,3.1^2,3.1^2"), max_nodes=1000)
-    # every completable square counted was charged once, cover states on top
-    rep = completability_census(rep_of("1^3,1^3,1^3"))
-    assert rep.node_count > rep.total == 5835
+        completability_census(rep_of("3.1^2,3.1^2,3.1^2"), max_nodes=500)
+    # node_count is exactly what the budget was charged
+    t = rep_of("1^3,1^3,1^3")
+    rep = completability_census(t)
+    assert rep.total == 5835 and rep.node_count > 0
+    assert completability_census(t, max_nodes=rep.node_count).total == 5835
+    with pytest.raises(NodeBudgetExceededError):
+        completability_census(t, max_nodes=rep.node_count - 1)
 
 
 def test_cover_memo_ceiling(monkeypatch):
-    # a ceiling of 1000 memo entries; the census of 1^3 fills 8,109, one of
-    # 2.1,2.1,2.1 only 94
+    # a ceiling of 20 memo entries; deciding this order-5 square fills 53,
+    # the empty order-3 square 9
+    monkeypatch.setattr("latinsym.orbit_enum._MAX_LEVEL_BYTES", 20 * 100)
+    P = PartialLatinSquare(5, frozenset({(1, 1, 3), (2, 5, 2), (3, 2, 2),
+                                         (4, 1, 1), (5, 2, 1), (5, 4, 2)}))
+    with pytest.raises(StateBudgetExceededError, match=r"cover memo holds \d+ entries"):
+        is_completable(P)
+    assert is_completable(PartialLatinSquare(3, frozenset()))
+
+
+def test_zdd_ceiling(monkeypatch):
+    # room for about 580 ZDD entries; the census of 1^3 needs about 1,400,
+    # that of 2.1,2.1,2.1 under 100
     monkeypatch.setattr("latinsym.orbit_enum._MAX_LEVEL_BYTES", 100 * 1000)
-    with pytest.raises(StateBudgetExceededError, match=r"cover memo holds 1000 entries"):
+    with pytest.raises(StateBudgetExceededError, match=r"ZDD holds \d+ nodes"):
         completability_census(rep_of("1^3,1^3,1^3"))
     assert completability_census(rep_of("2.1,2.1,2.1")).total == 109
 
 
-def test_census_frees_its_cover_memo_on_return(monkeypatch):
-    # the memo goes when the census returns, not at the next cyclic collection
+def test_census_frees_its_zdd_on_return(monkeypatch):
+    # the tables go when the census returns, not at the next cyclic collection
     refs = []
 
-    def counter_for(*args):
-        counter = real_counter_for(*args)
-        refs.append(weakref.ref(counter))
-        return counter
+    class Tracked(orbit_enum._Zdd):
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.append(weakref.ref(self))
 
-    real_counter_for = completion._counter_for
-    monkeypatch.setattr(completion, "_counter_for", counter_for)
+    monkeypatch.setattr(orbit_enum, "_Zdd", Tracked)
     gc.disable()
     try:
         assert completability_census(rep_of("2.1,2.1,2.1")).total == 109
