@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
 
-from .pls_core import Isotopism, PartialLatinSquare
+from .pls_core import Isotopism, PartialLatinSquare, triple_orbits
 
 
 # ----------------------------------------------------------------------
@@ -69,25 +69,6 @@ def _triples(n: int):
     """All (r, c, s) in the flattening order of the 0/1 encoding: symbol
     fastest, then column, then row."""
     return product(range(1, n + 1), repeat=3)
-
-
-def _symmetry_orbits(t: Isotopism, n: int) -> list[list[tuple[int, int, int]]]:
-    """Orbits of the cell-symbol triples under the isotopism, each listed
-    from its least member following repeated application."""
-    seen: set[tuple[int, int, int]] = set()
-    orbits = []
-    for start in _triples(n):
-        if start in seen:
-            continue
-        orbit = [start]
-        seen.add(start)
-        cur = t.apply_triple(start)
-        while cur != start:
-            orbit.append(cur)
-            seen.add(cur)
-            cur = t.apply_triple(cur)
-        orbits.append(orbit)
-    return orbits
 
 
 # ----------------------------------------------------------------------
@@ -162,10 +143,11 @@ def export_ip(model: WeightedModel, *, raw_symmetry: bool = False) -> str:
             b = variable_name(*image)
             out.append(f" sym_{triple[0]}_{triple[1]}_{triple[2]}: {a} - {b} = 0")
     else:
-        for k, orbit in enumerate(_symmetry_orbits(t, n)):
-            for step in range(len(orbit) - 1):
-                a = variable_name(*orbit[step])
-                b = variable_name(*orbit[step + 1])
+        for k, orbit in enumerate(triple_orbits(t)):
+            cells = orbit.triples
+            for step in range(len(cells) - 1):
+                a = variable_name(*cells[step])
+                b = variable_name(*cells[step + 1])
                 out.append(f" sym_{k + 1}_{step + 1}: {a} - {b} = 0")
 
     if model.target_size is not None:

@@ -19,14 +19,24 @@ time, and the cost grows with the number of distinct states, not with the
 number of squares counted; a level that would outgrow _MAX_LEVEL_BYTES
 aborts the census with StateBudgetExceededError.
 
+At a row boundary that no valid orbit crosses, a state is a column-symbol
+mask only, and states that a relabelling of the fixed columns of beta and
+the fixed symbols of gamma maps onto each other have equally many fillings
+of each size ahead; such states are merged into one (_row_merge).  The
+uncapped census of 1^4 then expands 6,283 states, where it expanded 366,614,
+and at the four boundaries of 1^5 the merge leaves 6, 290, 4,908 and 19,286
+states of 1,546, 5,961, 109,905 and 600,410, so that census finishes.
+
 Full covers are counted by the same DP in a full-only mode: values are plain
 counts, the state also keeps the cell bits still ahead, and a state leaves
 cell p only if p is covered.  delta_full, count_completions and the basis
-counts all go through it.  Keeping every level of that DP gives the family
-of full covers as a ZDD over the valid orbits (_full_zdd), whose
-down-closure is the completability census.  CoverCounter, a memoized
-exact-cover search on the same packed states, only decides whether a cover
-exists, where its early exit beats a full DP pass.
+counts all go through it.  Its states merge at row boundaries too, unless
+the count starts from placed orbits, whose later rows break the symmetry,
+or keeps its levels: keeping every level of that DP gives the family of
+full covers as a ZDD over the valid orbits (_full_zdd), which needs every
+state apart, and whose down-closure is the completability census.
+CoverCounter, a memoized exact-cover search on the same packed states, only
+decides whether a cover exists, where its early exit beats a full DP pass.
 """
 
 from __future__ import annotations
@@ -60,10 +70,11 @@ from .pls_core import (
 # costs about _STATE_BYTES of key and dict entry plus, in the census, its size
 # polynomial, so the state ceiling of a census is this divided by that
 # estimate: 1.86 million states for the largest census in the tables
-# (1^4,1^4,1^4 uncapped, whose largest level holds 176,699), 1.08 million
-# for an uncapped census at order 5, which would otherwise outgrow memory
-# long before it outgrows the node budget.  A full count or a cover memo,
-# whose values are plain ints, gets 3.36 million.  A ZDD node or memo entry
+# (1^4,1^4,1^4 uncapped, whose largest level holds 4,284), 1.08 million for
+# an uncapped census at order 5 (1^5's largest level holds 600,410, and the
+# process peaks at about 310 MB), which would otherwise outgrow memory long
+# before it outgrows the node budget.  A full count or a cover memo, whose
+# values are plain ints, gets 3.36 million.  A ZDD node or memo entry
 # measured 90 to 100 bytes by tracemalloc and about 112 bytes of RSS (at
 # 1^5, which stops at 2.1 million entries and 255 MB); the margin covers the
 # size polynomials of the final count.
@@ -93,6 +104,8 @@ class ValidOrbitSet:
     cs_masks: tuple[int, ...]
     lengths: tuple[int, ...]
     masks: tuple[int, ...]
+    fixed_cols: tuple[int, ...]  # the fixed points of beta
+    fixed_syms: tuple[int, ...]  # the fixed points of gamma
 
     def pack(self, rc: int, rs: int, cs: int) -> int:
         """The packed state of three mask families."""
@@ -151,7 +164,8 @@ def build_valid_orbits(t: Isotopism) -> ValidOrbitSet:
         lengths.append(orbit.length)
         packed.append(_pack(N, rc, rs, cs))
     return ValidOrbitSet(n, tuple(orbits), tuple(rc_all), tuple(rs_all),
-                         tuple(cs_all), tuple(lengths), tuple(packed))
+                         tuple(cs_all), tuple(lengths), tuple(packed),
+                         t.beta.fixed_points(), t.gamma.fixed_points())
 
 
 # ----------------------------------------------------------------------
@@ -275,6 +289,70 @@ def _orbit_groups(ovs: ValidOrbitSet, pre: int
     return groups, ahead
 
 
+def _row_merge(ovs: ValidOrbitSet):
+    """(cells, canon) for merging DP states under fixed-point relabellings:
+    the DP merges its level with canon before each cell in cells.
+
+    cells holds r*n for every row boundary r that no valid orbit crosses,
+    and is empty when no two fixed columns or fixed symbols can be swapped.
+    There no placed orbit touches a later row, so a state's bits are column-
+    symbol pairs only.  A relabelling (id, delta, epsilon), delta permuting
+    the fixed columns of beta and epsilon the fixed symbols of gamma,
+    commutes with t, fixes every row and maps valid orbits to valid orbits
+    of the same length; so it maps the fillings of the rows ahead one-to-one
+    and keeps their sizes, and states it relates may share one entry.
+
+    canon(key) applies such a relabelling: it sorts the fixed column lanes
+    of the cs matrix, then its fixed symbol lanes, until neither changes.
+    Both sorts raise sum(m[c][s] 2^(c+s)) whenever they move a lane, so the
+    loop ends.  It may miss a merge, which costs only speed.
+    """
+    n = ovs.n
+    N = n * n
+    fc = [2 * N + (c - 1) * n for c in ovs.fixed_cols]  # column lane shifts
+    fs = [s - 1 for s in ovs.fixed_syms]  # symbol lane shifts
+    if len(fc) < 2 and len(fs) < 2:
+        return (), None
+    crossed = 0
+    for mask in ovs.masks:
+        rc = mask & ((1 << N) - 1)
+        first, last = ((rc & -rc).bit_length() - 1) // n, (rc.bit_length() - 1) // n
+        crossed |= (1 << last + 1) - (2 << first)  # boundaries first+1..last
+    cells = {r * n for r in range(1, n) if not crossed >> r & 1}
+    lane = (1 << n) - 1
+    spread = sum(1 << 2 * N + c * n for c in range(n))  # one bit per column
+    col_clear = ~sum(lane << sh for sh in fc)
+    sym_clear = ~sum(spread << sh for sh in fs)
+    memo: dict[int, int] = {}
+
+    def canon(key: int) -> int:
+        got = memo.get(key)
+        if got is None:
+            got, old = key, -1
+            while got != old:
+                old = got
+                for shifts, width, clear in ((fc, lane, col_clear),
+                                             (fs, spread, sym_clear)):
+                    lanes = sorted([got >> sh & width for sh in shifts])
+                    got &= clear
+                    for sh, v in zip(shifts, lanes):
+                        got |= v << sh
+            memo[key] = got
+        return got
+
+    return cells, canon
+
+
+def _merged(level: dict[int, int], canon) -> dict[int, int]:
+    """level with each state brought to canon(state), values added."""
+    out: dict[int, int] = {}
+    get = out.get
+    for key, value in level.items():
+        k = canon(key)
+        out[k] = get(k, 0) + value
+    return out
+
+
 def _census_levels(ovs: ValidOrbitSet, cap: int, budget: _Budget) -> dict[int, int]:
     """Per-size counts, sizes 1..cap, of the conflict-free orbit subsets."""
     N = ovs.n * ovs.n
@@ -286,8 +364,11 @@ def _census_levels(ovs: ValidOrbitSet, cap: int, budget: _Budget) -> dict[int, i
     window = (1 << width * (cap + 1)) - 1
     spend = budget.spend
     ceiling = _MAX_LEVEL_BYTES // (_STATE_BYTES + width * (cap + 1) // 8)
+    merge_at, canon = _row_merge(ovs)
     level = {0: 1}
     for p in range(N):
+        if p in merge_at:
+            level = _merged(level, canon)
         keep = ahead[p + 1]
         moves = [(mask, ln * width) for mask, ln in groups[p]]
         if not moves and keep == ahead[p]:
@@ -384,8 +465,12 @@ def _full_levels(ovs: ValidOrbitSet, pre: int, budget: _Budget,
     spend = budget.spend
     ceiling = _MAX_LEVEL_BYTES // _STATE_BYTES
     kept = 0
+    # pre places orbits in later rows, and the ZDD needs every state apart
+    merge_at, canon = _row_merge(ovs) if not pre and trail is None else ((), None)
     level = {pre & cells: 1}
     for p in range(N):
+        if p in merge_at:
+            level = _merged(level, canon)
         # An orbit placed at its least cell can cover a later cell that no
         # orbit ahead touches, so the state keeps the bits of every cell
         # after p besides those an orbit ahead can touch.
@@ -692,15 +777,16 @@ class CoverCounter:
         if hit is not None:
             return hit
         self.budget.spend()
-        if len(memo) >= self.max_memo:
-            raise StateBudgetExceededError(
-                f"cover memo holds {len(memo)} entries, the ceiling of this search"
-            )
         result = False
         for mask in self._candidates(key):
             if self.covers(key | mask):
                 result = True
                 break
+        # checked on insert: the memo grows as the search returns
+        if len(memo) >= self.max_memo:
+            raise StateBudgetExceededError(
+                f"cover memo holds {len(memo)} entries, the ceiling of this search"
+            )
         memo[key] = result
         return result
 

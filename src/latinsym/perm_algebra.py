@@ -27,6 +27,18 @@ from .budget import check_deadline
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
+# The largest order a parser accepts.  It is checked before anything of that
+# size is built, so a typo such as 1^300000 is a usage error, not a long wait
+# or a huge allocation; every count here is out of reach long before it.
+MAX_PARSED_ORDER = 64
+
+
+def check_parsed_order(n: int) -> None:
+    """Raise ValueError if a parsed order exceeds MAX_PARSED_ORDER."""
+    if n > MAX_PARSED_ORDER:
+        raise ValueError(f"order {n} exceeds the largest supported order, "
+                         f"{MAX_PARSED_ORDER}")
+
 
 @dataclass(frozen=True)
 class Permutation:
@@ -115,7 +127,9 @@ class Permutation:
             if not text.endswith("]"):
                 raise ValueError(f"unterminated image list: {text!r}")
             body = text[1:-1].strip()
-            images = tuple(int(tok) for tok in re.split(r"[,\s]+", body) if tok) if body else ()
+            toks = [tok for tok in re.split(r"[,\s]+", body) if tok] if body else []
+            check_parsed_order(len(toks))
+            images = tuple(int(tok) for tok in toks)
             if degree is not None and degree != len(images):
                 raise ValueError(f"image list has degree {len(images)}, expected {degree}")
             return cls(images)
@@ -130,6 +144,7 @@ class Permutation:
         n = degree if degree is not None else maxpt
         if maxpt > n:
             raise ValueError(f"point {maxpt} exceeds degree {n}")
+        check_parsed_order(n)
         images = list(range(1, n + 1))
         touched = set()
         for cyc in cycles:
@@ -260,7 +275,7 @@ class CycleStructure:
         text = text.strip()
         if not text:
             raise ValueError("empty cycle-structure spec")
-        parts: list[int] = []
+        tokens = []
         for tok in text.split("."):
             m = _TOKEN_RE.match(tok.strip())
             if not m:
@@ -269,7 +284,9 @@ class CycleStructure:
             mult = int(m.group(2)) if m.group(2) else 1
             if length < 1 or mult < 1:
                 raise ValueError(f"bad cycle-structure token: {tok!r}")
-            parts.extend([length] * mult)
+            tokens.append((length, mult))
+        check_parsed_order(sum(length * mult for length, mult in tokens))
+        parts = [length for length, mult in tokens for _ in range(mult)]
         n = degree if degree is not None else sum(parts)
         if sum(parts) != n:
             raise ValueError(f"parts of {text!r} sum to {sum(parts)}, expected degree {n}")

@@ -20,6 +20,7 @@ from .perm_algebra import (
     CycleStructure,
     IsotopismStructure,
     Permutation,
+    check_parsed_order,
     cycle_structure,
 )
 
@@ -77,6 +78,7 @@ class PartialLatinSquare:
         if not lines:
             raise ValueError("empty square text")
         n = len(lines)
+        check_parsed_order(n)
         cells = []
         for r, ln in enumerate(lines, start=1):
             toks = ln.split()
@@ -100,7 +102,9 @@ class PartialLatinSquare:
     def parse_json(cls, text: str) -> "PartialLatinSquare":
         obj = json.loads(text)
         try:
-            return cls.from_cells(int(obj["n"]), obj["cells"])
+            n = int(obj["n"])
+            check_parsed_order(n)
+            return cls.from_cells(n, obj["cells"])
         except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError('square JSON needs an integer "n" and "cells" as a '
                              f"list of [row, col, symbol] triples ({exc!r})") from None

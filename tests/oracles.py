@@ -171,10 +171,25 @@ def all_isotopisms(n: int) -> tuple:
 
 
 def canon_key(square: frozenset, n: int) -> tuple:
-    """Canonical form of a square under isotopy: the least sorted image."""
-    return min(
-        tuple(sorted(act(theta, square))) for theta in all_isotopisms(n)
-    )
+    """Canonical form of a square under isotopy: the least sorted image.
+
+    Once the rows and columns are relabelled, the cells' order is fixed, and
+    the least image over the symbol relabellings numbers the symbols in
+    order of first appearance.  So the (n!)^2 row and column maps give the
+    least image over all (n!)^3 isotopisms.
+    """
+    perms = list(permutations(range(1, n + 1)))
+    best = None
+    for al in perms:
+        for be in perms:
+            label: dict[int, int] = {}
+            key = tuple(
+                (r, c, label.setdefault(s, len(label) + 1))
+                for r, c, s in sorted((al[r - 1], be[c - 1], s) for r, c, s in square)
+            )
+            if best is None or key < best:
+                best = key
+    return best
 
 
 # ------------------------------------------------------------------- census

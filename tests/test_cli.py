@@ -7,7 +7,6 @@ console script sees.
 
 import io
 import json
-import re
 import sys
 import time
 from collections import Counter
@@ -140,7 +139,7 @@ def test_census_budget_abort_exit_code(capsys):
 
 def test_census_state_ceiling_exit_code(capsys, monkeypatch):
     monkeypatch.setattr("latinsym.orbit_enum._MAX_LEVEL_BYTES", 1 << 20)
-    rc, out, err = run(capsys, ["census", "--z", "1^4,1^4,1^4"])
+    rc, out, err = run(capsys, ["census", "--z", "2^3,2^3,2^3"])
     assert rc == 3
     assert out == ""
     assert "aborted: census level at cell" in err and "Traceback" not in err
@@ -148,7 +147,9 @@ def test_census_state_ceiling_exit_code(capsys, monkeypatch):
 
 def test_census_full_only_state_ceiling_exit_code(capsys, monkeypatch):
     monkeypatch.setattr("latinsym.orbit_enum._MAX_LEVEL_BYTES", 1 << 20)
-    rc, out, err = run(capsys, ["census", "--z", "1^5,1^5,1^5", "--full-only"])
+    started = time.perf_counter()
+    rc, out, err = run(capsys, ["census", "--z", "1^7,1^7,1^7", "--full-only"])
+    assert time.perf_counter() - started < 5.0
     assert rc == 3
     assert out == ""
     assert "aborted: full-count level at cell" in err and "Traceback" not in err
@@ -161,6 +162,28 @@ def test_ccensus_memo_ceiling_exit_code(capsys, monkeypatch):
     assert rc == 3
     assert out == ""
     assert "aborted: ZDD holds" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["census", "--z", "1^65,1^65,1^65", "--sizes"], ""),
+    (["census", "--z", "1^300,1^300,1^300", "--sizes"], ""),
+    (["census", "--theta", "(1 65);();()", "--sizes"], ""),
+    (["census", "--theta", "[" + ",".join(map(str, range(1, 66))) + "];();()", "--sizes"], ""),
+    (["census", "--theta", "();();()", "--n", "100000000", "--sizes"], ""),
+    (["complete", "--theta", "();();()", "--pls", "-"], '{"n": 100000000, "cells": []}'),
+    (["complete", "--theta", "();();()", "--pls", "-"], "\n".join([". " * 65] * 65)),
+])
+def test_parsed_order_cap(argv, stdin, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == ""
+    assert "exceeds the largest supported order, 64" in err
+
+
+def test_parsed_order_cap_is_inclusive(capsys):
+    rc, out, _ = run(capsys, ["census", "--z", "1^64,1^64,1^64", "--sizes"])
+    assert rc == 0
+    assert out.splitlines()[:3] == ["structure 1^64,1^64,1^64", "lower 1", "upper 4096"]
 
 
 def test_bad_structure_spec_is_usage_error(capsys):
@@ -385,35 +408,34 @@ def test_structures_rejects_nonpositive_order(capsys):
 # parser fuzz: whatever the text, the exit is 0, 2 or 3, never a traceback
 # ----------------------------------------------------------------------
 
-def _short_numbers(text: str) -> bool:
-    # one-digit numbers keep every parsed order small, so a valid spec's
-    # --sizes report stays quick and no parse builds a huge permutation
-    return all(len(run) == 1 for run in re.findall(r"\d+", text))
-
-
+# numbers of any length: parsed orders are capped, so no spec builds a huge
+# permutation and a valid spec's --sizes report stays quick
 _SPECS = st.one_of(
     st.text(max_size=20),
-    st.text(alphabet="()[],;.^ 0123-x", max_size=20),
-).filter(_short_numbers)
+    st.text(alphabet="()[],;.^ 0123456789-x", max_size=20),
+)
 _THETAS = st.one_of(_SPECS, st.lists(_SPECS, min_size=3, max_size=3).map(";".join))
 _STRUCTURES = st.one_of(_SPECS, st.lists(_SPECS, min_size=3, max_size=3).map(",".join))
 _TEXT_SQUARES = st.one_of(
-    st.lists(st.lists(st.sampled_from([".", "0", "1", "2", "3", "4", "-1", "x", "1.0"]),
+    st.lists(st.lists(st.one_of(st.sampled_from([".", "0", "1", "2", "3", "4", "-1", "x",
+                                                 "1.0"]),
+                                st.integers().map(str)),
                       max_size=4), max_size=4)
     .map(lambda rows: "\n".join(" ".join(row) for row in rows)),
-    st.text(max_size=30).filter(_short_numbers),
+    st.text(max_size=30),
+    st.integers(1, 80).map(lambda n: "\n".join([". " * n] * n)),
 )
 _JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-2, 5) | st.floats() | st.text(max_size=3),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
                                                                 max_size=3),
     max_leaves=12,
 )
 _JSON_SQUARES = st.one_of(
     st.fixed_dictionaries({
-        "n": st.one_of(st.integers(-1, 4), _JSON_VALUES, st.sampled_from(
-            [float("inf"), float("-inf"), float("nan"), 2.5, "3", True])),
-        "cells": st.one_of(st.lists(st.lists(st.integers(-1, 4), max_size=4), max_size=5),
+        "n": st.one_of(st.integers(-1, 4), st.integers(), _JSON_VALUES, st.sampled_from(
+            [float("inf"), float("-inf"), float("nan"), 2.5, "3", True, 64, 65, 10 ** 8])),
+        "cells": st.one_of(st.lists(st.lists(st.integers(-1, 99), max_size=4), max_size=5),
                            _JSON_VALUES),
     }),
     _JSON_VALUES,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import gc
 import random
+import re
 import time
 import weakref
 from collections import Counter
@@ -296,13 +297,14 @@ def test_census_budget_bounds_ccensus():
 
 
 def test_cover_memo_ceiling(monkeypatch):
-    # a ceiling of 20 memo entries; deciding this order-5 square fills 53,
-    # the empty order-3 square 9
+    # a ceiling of 20 memo entries, never passed; deciding this order-5
+    # square fills 53, the empty order-3 square 9
     monkeypatch.setattr("latinsym.orbit_enum._MAX_LEVEL_BYTES", 20 * 100)
     P = PartialLatinSquare(5, frozenset({(1, 1, 3), (2, 5, 2), (3, 2, 2),
                                          (4, 1, 1), (5, 2, 1), (5, 4, 2)}))
-    with pytest.raises(StateBudgetExceededError, match=r"cover memo holds \d+ entries"):
+    with pytest.raises(StateBudgetExceededError, match=r"cover memo holds \d+ entries") as exc:
         is_completable(P)
+    assert int(re.search(r"holds (\d+)", str(exc.value)).group(1)) <= 20
     assert is_completable(PartialLatinSquare(3, frozenset()))
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -193,15 +194,47 @@ def test_census_matches_walker_oracle():
                 oracles.census_by_walker(t, max_size=cap), str(z)
 
 
+def test_census_merge_on_conjugated_isotopisms():
+    # random row, column and symbol relabellings scatter the alpha-cycles,
+    # the fixed columns and the fixed symbols, so the row boundaries come
+    # from the orbit masks and the merges from lanes other than the last
+    rng = random.Random(53)
+    for n in (1, 2, 3, 4):
+        for z in enumerate_autotopism_structures(n):
+            t = canonical_isotopism(z)
+            conj = random_conjugate(rng, t)
+            cap = 5 if str(z) == "1^4,1^4,1^4" else None
+            assert delta_census(conj, max_size=cap).per_size == \
+                oracles.census_by_walker(conj, max_size=cap), str(z)
+            assert delta_full(conj) == delta_full(t), str(z)
+
+
+def test_row_merge_matches_unmerged_dp(monkeypatch):
+    # every order-5 structure whose states can merge, against the same DP
+    # with merging switched off, on a random conjugate
+    rng = random.Random(59)
+    cases = [z for z in enumerate_autotopism_structures(5)
+             if z.cols.count(1) > 1 or z.syms.count(1) > 1]
+    merged = []
+    for z in cases:
+        conj = random_conjugate(rng, canonical_isotopism(z))
+        merged.append((delta_census(conj, max_size=4).per_size, delta_full(conj)))
+    monkeypatch.setattr(orbit_enum, "_row_merge", lambda ovs: ((), None))
+    for z, got in zip(cases, merged):
+        t = canonical_isotopism(z)
+        assert got == (delta_census(t, max_size=4).per_size, delta_full(t)), str(z)
+
+
 def test_census_max_size_prunes():
     t = rep_of("1^4,1^4,1^4")
     rep = delta_census(t, max_size=2)
     assert rep.per_size == {1: 64, 2: 1728}
-    assert rep.node_count == 2196  # DP states; the uncapped census expands 366614
+    assert rep.node_count == 354  # DP states; the uncapped census expands 6283
 
 
 def test_census_budget_errors_distinct():
-    t = rep_of("1^4,1^4,1^4")
+    # the uncapped 1^4 census now ends within 0.05 s; this one takes seconds
+    t = rep_of("1^5,1^5,1^5")
     with pytest.raises(NodeBudgetExceededError):
         delta_census(t, max_nodes=1000)
     with pytest.raises(TimeBudgetExceededError):
@@ -209,13 +242,14 @@ def test_census_budget_errors_distinct():
 
 
 def test_census_live_state_ceiling(monkeypatch):
-    # a 1 MiB level holds about 5,800 states here; the uncapped census needs
-    # a level of 176,699, the size-2 census never more than 2,196 states
+    # a 1 MiB level holds about 3,100 states here; the uncapped census of a
+    # structure without fixed points, whose states never merge, outgrows it
+    # within a row, while the size-2 census expands 420 states in all
     monkeypatch.setattr(orbit_enum, "_MAX_LEVEL_BYTES", 1 << 20)
-    t = rep_of("1^4,1^4,1^4")
+    t = rep_of("2^3,2^3,2^3")
     with pytest.raises(StateBudgetExceededError, match=r"level at cell \d+ holds \d+ states"):
         delta_census(t)
-    assert delta_census(t, max_size=2).per_size == {1: 64, 2: 1728}
+    assert delta_census(t, max_size=2).per_size == {2: 108}
 
 
 def test_census_report_invariants():
@@ -289,18 +323,22 @@ def test_delta_full_matches_oracle():
 
 
 def test_delta_full_orders_five_and_six():
-    # |LS_5| (McKay & Wanless 2005), and the count the memoized cover search
-    # gave for an order-6 structure
+    # |LS_5|, |LS_6| and |LS_7| (McKay & Wanless 2005), and the count the
+    # memoized cover search gave for an order-6 structure
     assert delta_full(rep_of("1^5,1^5,1^5")) == 161280
+    assert delta_full(rep_of("1^6,1^6,1^6")) == 812851200
+    assert delta_full(rep_of("1^7,1^7,1^7")) == 61479419904000
     assert delta_full(rep_of("2^3,2^3,1^6")) == 460800
 
 
 def test_full_count_live_state_ceiling(monkeypatch):
-    # a 1 MiB level holds 10,485 plain-count states; 1^5 needs a level of
-    # 14,770, 1^4 and 2^3,2^3,1^6 stay under the ceiling
+    # a 1 MiB level holds 10,485 plain-count states; 1^7 needs a level of
+    # 27,763, 1^4 and 2^3,2^3,1^6 stay under the ceiling
     monkeypatch.setattr(orbit_enum, "_MAX_LEVEL_BYTES", 1 << 20)
+    started = time.perf_counter()
     with pytest.raises(StateBudgetExceededError, match=r"level at cell \d+ holds \d+ states"):
-        delta_full(rep_of("1^5,1^5,1^5"))
+        delta_full(rep_of("1^7,1^7,1^7"))
+    assert time.perf_counter() - started < 5.0
     assert delta_full(rep_of("1^4,1^4,1^4")) == 576
     assert delta_full(rep_of("2^3,2^3,1^6")) == 460800
 

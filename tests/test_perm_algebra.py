@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import namedtuple
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latinsym.perm_algebra import (
+    MAX_PARSED_ORDER,
     CycleStructure,
     IsotopismStructure,
     LcmTriple,
@@ -144,6 +146,27 @@ def test_cycle_structure_parse_format():
         CycleStructure.parse("3.2", degree=6)
     with pytest.raises(ValueError):
         CycleStructure.parse("0^3")
+
+
+@pytest.mark.parametrize("parse, text", [
+    (CycleStructure.parse, "1^10000000"),
+    (CycleStructure.parse, "5000000^2"),
+    (Permutation.parse, "(1 10000000)"),
+    (Permutation.parse, "[" + "1," * 65 + "1]"),
+])
+def test_parsed_order_is_capped_before_allocation(parse, text):
+    # the order is checked before a list of that length is built
+    assert MAX_PARSED_ORDER == 64
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="largest supported order"):
+            parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert CycleStructure.parse("1^64").degree == 64
+    assert Permutation.parse("(1 64)").degree == 64
 
 
 def test_isotopism_structure_parse():
