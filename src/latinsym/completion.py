@@ -10,10 +10,12 @@ Counts of covers (count_completions, the basis member counts) come from the
 census module's frontier DP in its full-only mode; the yes/no question for
 one square (is_theta_completable) goes to the memoized cover search
 orbit_enum.CoverCounter, which stops at the first cover.  The completability
-census asks no question per square: it counts by size the down-closure of
-the ZDD of all full covers, which holds exactly the completable squares.
-An orbit subset is carried as one packed integer, the OR of its orbits'
-ValidOrbitSet.masks, which is also the cover search's memo key.
+census and the bases ask no question per square; both are read off the ZDD
+of all full covers.  The census counts by size its down-closure, which holds
+exactly the completable squares; a basis is its projection onto the orbits
+inside a shape, which holds exactly the shape's restrictions of the full
+squares.  An orbit subset is carried as one packed integer, the OR of its
+orbits' ValidOrbitSet.masks, which is also the cover search's memo key.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .orbit_enum import (
     CoverCounter,
     ValidOrbitSet,
     _Budget,
+    _full_levels,
     _full_zdd,
     build_valid_orbits,
     delta_full,
@@ -97,11 +100,6 @@ def _state_of(ovs: ValidOrbitSet, indices: Iterable[int]) -> int:
     return key
 
 
-def _counter_for(t: Isotopism, max_nodes: Optional[int],
-                 timeout_secs: Optional[float]) -> CoverCounter:
-    return CoverCounter(build_valid_orbits(t), _Budget(max_nodes, timeout_secs))
-
-
 # ----------------------------------------------------------------------
 # Completability of one square
 # ----------------------------------------------------------------------
@@ -112,8 +110,9 @@ def count_completions(t: Isotopism, P: PartialLatinSquare, *,
     """Number of invariant full squares containing P (which must be invariant)."""
     if not is_autotopism(t, P):
         raise ValueError("the square is not invariant under the isotopism")
-    counter = _counter_for(t, max_nodes, timeout_secs)
-    return counter.count(_state_of(counter.ovs, _orbit_indices_of(counter.ovs, P)))
+    ovs = build_valid_orbits(t)
+    return _full_levels(ovs, _state_of(ovs, _orbit_indices_of(ovs, P)),
+                        _Budget(max_nodes, timeout_secs))
 
 
 def is_theta_completable(t: Isotopism, P: PartialLatinSquare, *,
@@ -122,8 +121,9 @@ def is_theta_completable(t: Isotopism, P: PartialLatinSquare, *,
     """Early-exit version of count_completions > 0."""
     if not is_autotopism(t, P):
         raise ValueError("the square is not invariant under the isotopism")
-    counter = _counter_for(t, max_nodes, timeout_secs)
-    return counter.covers(_state_of(counter.ovs, _orbit_indices_of(counter.ovs, P)))
+    ovs = build_valid_orbits(t)
+    counter = CoverCounter(ovs, _Budget(max_nodes, timeout_secs))
+    return counter.covers(_state_of(ovs, _orbit_indices_of(ovs, P)))
 
 
 def is_completable(P: PartialLatinSquare, *,
@@ -176,14 +176,6 @@ def count_latin_squares(n: int) -> int:
     return delta_full(Isotopism.identity(n))
 
 
-def _mode_data(ovs: ValidOrbitSet, mode: str):
-    if mode == "RC":
-        return ovs.rc_masks
-    if mode == "RS":
-        return ovs.rs_masks
-    return ovs.cs_masks
-
-
 def _shape_mask(n: int, pairs: frozenset) -> int:
     mask = 0
     for (a, b) in pairs:
@@ -209,47 +201,36 @@ def _validate_shape_invariance(t: Isotopism, shape: ShapeSet) -> None:
 def basis_from_shape(t: Isotopism, shape: ShapeSet, *,
                      max_nodes: Optional[int] = None,
                      timeout_secs: Optional[float] = None) -> ThetaBasis:
-    """Enumerate the completable invariant squares whose filled pairs (in the
-    shape's view) are exactly the given set.  Every invariant full square
-    restricts to exactly one such square, so the family partitions the
-    invariant full squares; the counts are asserted to sum to the full count."""
-    counter = _counter_for(t, max_nodes, timeout_secs)
-    ovs = counter.ovs
-    if not counter.covers(0):
+    """The completable invariant squares whose filled pairs (in the shape's
+    view) are exactly the given set, sorted by cells.
+
+    The shape is invariant under the two permutations of its view, so each
+    valid orbit lies wholly inside or outside it, and an invariant full
+    square restricts to the shape as its set of inside orbits.  The family
+    is that projection of the ZDD of full covers, so it partitions the
+    invariant full squares; each member is counted by the full-only DP, and
+    the counts are asserted to sum to the full count."""
+    ovs = build_valid_orbits(t)
+    budget = _Budget(max_nodes, timeout_secs)
+    zdd, root = _full_zdd(ovs, budget)
+    if not root:
         raise ValueError("the isotopism admits no invariant full square")
     _validate_shape_invariance(t, shape)
     n = ovs.n
-    target = _shape_mask(n, shape.pairs)
-    view = _mode_data(ovs, shape.mode)
-    masks = ovs.masks
+    view = ("RC", "RS", "CS").index(shape.mode) * n * n
+    target = _shape_mask(n, shape.pairs) << view
+    inside = [bool(mask & target) for mask in ovs.masks]
     cells_of = [frozenset(o.triples) for o in ovs.orbits]
-    found: list[tuple[frozenset, int]] = []
-    spend = counter.budget.spend
-
-    def rec(start, key, filled, acc):
-        spend()
-        if filled == target:
-            found.append((acc, key))
-            return
-        for i in range(start, len(masks)):
-            if view[i] & ~target or key & masks[i]:
-                continue
-            rec(i + 1, key | masks[i], filled | view[i], acc | cells_of[i])
-
-    rec(0, 0, 0, frozenset())
+    # Members come as lists of orbit indices in lexicographic order.  Every
+    # triple of an orbit lies at or after its least triple, by which the
+    # orbits are numbered, so this is also the order of their sorted cells.
     elements, counts = [], []
-    for cells, key in found:
-        completions = counter.count(key)
-        if completions:
-            elements.append(PartialLatinSquare(n, cells))
-            counts.append(completions)
-    if not elements:
-        raise ValueError("the shape family is empty; it cannot be a basis")
-    order = sorted(range(len(elements)), key=lambda i: elements[i].sorted_cells())
-    elements = [elements[i] for i in order]
-    counts = [counts[i] for i in order]
+    for member in zdd.members(zdd.project(root, inside)):
+        cells = frozenset().union(*(cells_of[i] for i in member))
+        elements.append(PartialLatinSquare(n, cells))
+        counts.append(_full_levels(ovs, _state_of(ovs, member), budget))
     total = sum(counts)
-    full = counter.count(0)
+    full = _full_levels(ovs, 0, budget)
     if total != full:
         raise AssertionError(
             f"basis counts sum to {total}, but there are {full} invariant "

@@ -34,7 +34,8 @@ counts all go through it.  Its states merge at row boundaries too, unless
 the count starts from placed orbits, whose later rows break the symmetry,
 or keeps its levels: keeping every level of that DP gives the family of
 full covers as a ZDD over the valid orbits (_full_zdd), which needs every
-state apart, and whose down-closure is the completability census.
+state apart.  Its down-closure is the completability census, and its
+projection onto the orbits inside an invariant shape is that shape's basis.
 CoverCounter, a memoized exact-cover search on the same packed states, only
 decides whether a cover exists, where its early exit beats a full DP pass.
 """
@@ -94,14 +95,13 @@ class ValidOrbitSet:
     Masks are integers over n^2 bits; bit (a-1)*n + (b-1) stands for the
     coordinate pair (a, b) of the respective family.  masks[i] packs the
     three families of orbit i into one integer, rc | rs << n^2 | cs << 2n^2,
-    so a set of orbits is one integer and a conflict test is one AND.
+    so a set of orbits is one integer and a conflict test is one AND; the
+    mask of family k (0 rc, 1 rs, 2 cs) is masks[i] >> k n^2 & (2^(n^2) - 1).
+    The orbits come in the order of triple_orbits, so by least cell.
     """
 
     n: int
     orbits: tuple[TripleOrbit, ...]
-    rc_masks: tuple[int, ...]
-    rs_masks: tuple[int, ...]
-    cs_masks: tuple[int, ...]
     lengths: tuple[int, ...]
     masks: tuple[int, ...]
     fixed_cols: tuple[int, ...]  # the fixed points of beta
@@ -141,7 +141,7 @@ def build_valid_orbits(t: Isotopism) -> ValidOrbitSet:
     row_len = {pt: len(c) for c in t.alpha.cycles() for pt in c}
     col_len = {pt: len(c) for c in t.beta.cycles() for pt in c}
     sym_len = {pt: len(c) for c in t.gamma.cycles() for pt in c}
-    orbits, rc_all, rs_all, cs_all, lengths, packed = [], [], [], [], [], []
+    orbits, lengths, packed = [], [], []
     for orbit in triple_orbits(t):
         r0, c0, s0 = orbit.representative
         if (row_len[r0], col_len[c0], sym_len[s0]) not in admissible:
@@ -158,13 +158,9 @@ def build_valid_orbits(t: Isotopism) -> ValidOrbitSet:
                 "repeated coordinate pairs"
             )
         orbits.append(orbit)
-        rc_all.append(rc)
-        rs_all.append(rs)
-        cs_all.append(cs)
         lengths.append(orbit.length)
         packed.append(_pack(N, rc, rs, cs))
-    return ValidOrbitSet(n, tuple(orbits), tuple(rc_all), tuple(rs_all),
-                         tuple(cs_all), tuple(lengths), tuple(packed),
+    return ValidOrbitSet(n, tuple(orbits), tuple(lengths), tuple(packed),
                          t.beta.fixed_points(), t.gamma.fixed_points())
 
 
@@ -272,20 +268,20 @@ class CensusReport:
 # ----------------------------------------------------------------------
 
 def _orbit_groups(ovs: ValidOrbitSet, pre: int
-                  ) -> tuple[list[list[tuple[int, int]]], list[int]]:
-    """The (mask, length) pairs of the valid orbits that do not conflict with
-    the packed state pre, grouped under their least cell, and ahead[p]: the
-    state bits that some grouped orbit with least cell >= p touches."""
+                  ) -> tuple[list[list[int]], list[int]]:
+    """The indices of the valid orbits that do not conflict with the packed
+    state pre, grouped under their least cell in index order, and ahead[p]:
+    the state bits that some grouped orbit with least cell >= p touches."""
     N = ovs.n * ovs.n
-    groups: list[list[tuple[int, int]]] = [[] for _ in range(N)]
-    for mask, ln in zip(ovs.masks, ovs.lengths):
+    groups: list[list[int]] = [[] for _ in range(N)]
+    for i, mask in enumerate(ovs.masks):
         if not mask & pre:
-            groups[(mask & -mask).bit_length() - 1].append((mask, ln))
+            groups[(mask & -mask).bit_length() - 1].append(i)
     ahead = [0] * (N + 1)
     for p in range(N - 1, -1, -1):
         ahead[p] = ahead[p + 1]
-        for mask, _ in groups[p]:
-            ahead[p] |= mask
+        for i in groups[p]:
+            ahead[p] |= ovs.masks[i]
     return groups, ahead
 
 
@@ -370,7 +366,7 @@ def _census_levels(ovs: ValidOrbitSet, cap: int, budget: _Budget) -> dict[int, i
         if p in merge_at:
             level = _merged(level, canon)
         keep = ahead[p + 1]
-        moves = [(mask, ln * width) for mask, ln in groups[p]]
+        moves = [(ovs.masks[i], ovs.lengths[i] * width) for i in groups[p]]
         if not moves and keep == ahead[p]:
             continue
         budget.check_time()
@@ -476,7 +472,7 @@ def _full_levels(ovs: ValidOrbitSet, pre: int, budget: _Budget,
         # after p besides those an orbit ahead can touch.
         keep = ahead[p + 1] | cells >> (p + 1) << (p + 1)
         bit = 1 << p
-        moves = [mask for mask, _ in groups[p]]
+        moves = [ovs.masks[i] for i in groups[p]]
         if trail is not None:
             trail.append((groups[p], keep, level))
             kept += len(level)
@@ -539,7 +535,7 @@ class _Zdd:
     __slots__ = ("lengths", "width", "var", "lo", "hi", "unique", "memo",
                  "budget", "room")
 
-    def __init__(self, lengths: list[int], width: int, budget: _Budget, room: int):
+    def __init__(self, lengths: tuple[int, ...], width: int, budget: _Budget, room: int):
         self.lengths = lengths
         self.width = width  # digit width of the size polynomials
         top = len(lengths)  # the terminals test no variable
@@ -638,6 +634,36 @@ class _Zdd:
             down.append(self.node(var[i], self.union(down[lo[i]], high), high))
         return down[root]
 
+    def project(self, root: int, keep: list[bool]) -> int:
+        """The node of the family {m & S : m in root's family}, S being the
+        variables v with keep[v]: proj(v, lo, hi) = node(v, proj lo, proj hi)
+        if keep[v], else union(proj lo, proj hi), taken over the table in id
+        order, children first."""
+        var, lo, hi = self.var, self.lo, self.hi
+        proj = [0, 1]
+        for i in range(2, root + 1):
+            self._charge()
+            v = var[i]
+            if keep[v]:
+                proj.append(self.node(v, proj[lo[i]], proj[hi[i]]))
+            else:
+                proj.append(self.union(proj[lo[i]], proj[hi[i]]))
+        return proj[root]
+
+    def members(self, root: int) -> Iterator[list[int]]:
+        """Each member of root's family as its variables in increasing order,
+        the members in lexicographic order of those lists."""
+        var, lo, hi = self.var, self.lo, self.hi
+        stack = [(root, [])] if root else []
+        while stack:
+            f, path = stack.pop()
+            while f > 1:  # no high child is node 0, so this ends at node 1
+                if lo[f]:
+                    stack.append((lo[f], path[:]))
+                path.append(var[f])
+                f = hi[f]
+            yield path
+
     def size_counts(self, root: int) -> dict[int, int]:
         """Number of members of root's family by size, the size of a member
         being the total length of its orbits.  Counting makes no nodes, so
@@ -664,37 +690,34 @@ class _Zdd:
 def _full_zdd(ovs: ValidOrbitSet, budget: _Budget) -> tuple[_Zdd, int]:
     """The family of full covers as a ZDD, and its root.
 
-    The variables are the valid orbits ordered by least cell, then by
-    position in the cell's group.  The full-only DP runs forward keeping
-    every level; then each state becomes a node, cell by cell from the last:
-    the final state 0 is the family of the empty set, and a state that
-    cannot reach it is the empty family.  At a covered cell a state is its
-    successor's node; at a free cell it is a chain over the compatible
-    orbits of the cell's group, each leading to its successor.  Every full
-    cover is exactly one path, so the ZDD holds the full covers and nothing
-    else.  The kept levels and the ZDD's tables together stay within
-    _MAX_LEVEL_BYTES.
+    Variable v is valid orbit v: triple_orbits lists the orbits by least
+    triple, so _orbit_groups holds 0..V-1 in cell order, as the variables
+    must be.  The full-only DP runs forward keeping every level; then each
+    state becomes a node, cell by cell from the last: the final state 0 is
+    the family of the empty set, and a state that cannot reach it is the
+    empty family.  At a covered cell a state is its successor's node; at a
+    free cell it is a chain over the compatible orbits of the cell's group,
+    each leading to its successor.  Every full cover is exactly one path, so
+    the ZDD holds the full covers and nothing else.  The kept levels and the
+    ZDD's tables together stay within _MAX_LEVEL_BYTES.
     """
     trail: list = []
     found = _full_levels(ovs, 0, budget, trail)
-    lengths = [ln for group, _, _ in trail for _, ln in group]
     # a family in the closure holds at most one orbit per group, so its
     # size count is bounded as in the census DP
     width = prod(len(group) + 1 for group, _, _ in trail).bit_length()
     kept = sum(len(level) for _, _, level in trail)
     room = (_MAX_LEVEL_BYTES - kept * _STATE_BYTES) // _ZDD_ENTRY_BYTES
-    zdd = _Zdd(lengths, width, budget, room)
+    zdd = _Zdd(ovs.lengths, width, budget, room)
     if not found:  # the DP stopped at an empty level; the trail is cut short
         return zdd, 0
     node = zdd.node
-    first = len(lengths)
     nodes = {0: 1}
     for p in range(len(trail) - 1, -1, -1):
         group, keep, level = trail.pop()
         budget.check_time()
-        first -= len(group)
         bit = 1 << p
-        moves = [(first + j, mask) for j, (mask, _) in enumerate(group)][::-1]
+        moves = [(i, ovs.masks[i]) for i in reversed(group)]
         here: dict[int, int] = {}
         for key in level:
             if key & bit:
@@ -716,18 +739,17 @@ def _full_zdd(ovs: ValidOrbitSet, budget: _Budget) -> tuple[_Zdd, int]:
 
 class CoverCounter:
     """Decides whether an orbit-subset state extends to a full cover of all
-    n^2 cells by disjoint valid orbits, and counts those covers.
+    n^2 cells by disjoint valid orbits.
 
-    Shared by the completability machinery.  A state is the packed integer
-    rc | rs << n^2 | cs << 2n^2 of the orbits placed so far
-    (ValidOrbitSet.masks), which determines the residual problem completely.
-    covers() is a memoized exact-cover search keyed on it that stops at the
-    first cover found; each step branches on the compatible orbits through
-    the uncovered cell with fewest of them, taking the first cell with at
-    most one.  Its memo is capped at _MAX_LEVEL_BYTES // _STATE_BYTES entries.
-    count() runs the full-only frontier DP instead, which is far cheaper than
-    a search that must visit every cover.  budget.nodes counts the search
-    states and DP states expanded.
+    A state is the packed integer rc | rs << n^2 | cs << 2n^2 of the orbits
+    placed so far (ValidOrbitSet.masks), which determines the residual
+    problem completely.  covers() is a memoized exact-cover search keyed on
+    it that stops at the first cover found; each step branches on the
+    compatible orbits through the uncovered cell with fewest of them, taking
+    the first cell with at most one.  Its memo is capped at
+    _MAX_LEVEL_BYTES // _STATE_BYTES entries.  count_from() counts covers by
+    the full-only DP on the same budget, whose nodes are the search states
+    and DP states expanded.
     """
 
     def __init__(self, ovs: ValidOrbitSet, budget: Optional[_Budget] = None):
@@ -764,10 +786,6 @@ class CoverCounter:
                     break
         return best
 
-    def count(self, key: int) -> int:
-        """Number of full covers extending the packed state key."""
-        return _full_levels(self.ovs, key, self.budget)
-
     def covers(self, key: int) -> bool:
         """Whether some full cover extends the packed state key."""
         if key == self.full:
@@ -791,8 +809,8 @@ class CoverCounter:
         return result
 
     def count_from(self, rc: int, rs: int, cs: int) -> int:
-        """count() of the state given as its three mask families."""
-        return self.count(self.ovs.pack(rc, rs, cs))
+        """Number of full covers extending the state of three mask families."""
+        return _full_levels(self.ovs, self.ovs.pack(rc, rs, cs), self.budget)
 
     def can_cover(self, rc: int, rs: int, cs: int) -> bool:
         """covers() of the state given as its three mask families."""

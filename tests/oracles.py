@@ -2,11 +2,13 @@
 
 Everything in here trades speed for obviousness: direct definitions, no
 bitmasks, no caching beyond memoizing whole result sets.  Test modules check
-the fast library code against these on small orders.  The two exceptions
-are walks over the library's valid-orbit masks, kept to check a DP on orders
-where walking is affordable: census_by_walker checks the census DP, and
-completability_by_walker, which asks the library's cover search about every
-square it visits, checks the completability census.
+the fast library code against these on small orders.  The three exceptions
+are walks over the library's valid-orbit masks, kept to check the DP and the
+ZDD on orders where walking is affordable: census_by_walker checks the
+census DP; completability_by_walker, which asks the library's cover search
+about every square it visits, checks the completability census; and
+basis_by_shape_walk, which counts each square that fills a shape with
+count_completions, checks the bases.
 """
 
 from __future__ import annotations
@@ -194,6 +196,13 @@ def canon_key(square: frozenset, n: int) -> tuple:
 
 # ------------------------------------------------------------------- census
 
+def _view_masks(ovs, k: int) -> list[int]:
+    """The family-k pair masks (0 rc, 1 rs, 2 cs) of the library's valid
+    orbits, cut out of their packed masks."""
+    N = ovs.n * ovs.n
+    return [mask >> k * N & ((1 << N) - 1) for mask in ovs.masks]
+
+
 def census_by_walker(t, max_size=None) -> dict[int, int]:
     """Per-size counts of non-empty invariant squares of the isotopism t, by
     walking every conflict-free subset of valid orbits once, in index order."""
@@ -201,7 +210,8 @@ def census_by_walker(t, max_size=None) -> dict[int, int]:
 
     ovs = build_valid_orbits(t)
     cap = t.degree ** 2 if max_size is None else max_size
-    rcm, rsm, csm, lns = ovs.rc_masks, ovs.rs_masks, ovs.cs_masks, ovs.lengths
+    rcm, rsm, csm = (_view_masks(ovs, k) for k in range(3))
+    lns = ovs.lengths
     per_size = [0] * (cap + 1)
 
     def walk(start: int, rc: int, rs: int, cs: int, size: int) -> None:
@@ -246,3 +256,38 @@ def completability_by_walker(t) -> dict[int, int]:
 
     walk(0, 0, 0)
     return per_size
+
+
+# ------------------------------------------------------------------- bases
+
+def basis_by_shape_walk(t, shape) -> list[tuple[frozenset, int]]:
+    """The (cells, completions) pairs of the completable invariant squares
+    whose filled pairs, in the shape's view, are exactly shape.pairs, sorted
+    by cells: a depth-first walk over the valid orbits lying inside the
+    shape, with each square that fills it counted by count_completions."""
+    from latinsym.completion import count_completions
+    from latinsym.orbit_enum import build_valid_orbits
+    from latinsym.pls_core import PartialLatinSquare
+
+    ovs = build_valid_orbits(t)
+    n = ovs.n
+    view = _view_masks(ovs, ("RC", "RS", "CS").index(shape.mode))
+    target = sum(1 << (a - 1) * n + (b - 1) for a, b in shape.pairs)
+    masks = ovs.masks
+    found: list[frozenset] = []
+
+    def walk(start: int, key: int, filled: int, acc: frozenset) -> None:
+        if filled == target:
+            found.append(acc)
+            return
+        for i in range(start, len(masks)):
+            if view[i] & ~target or key & masks[i]:
+                continue
+            walk(i + 1, key | masks[i], filled | view[i],
+                 acc | frozenset(ovs.orbits[i].triples))
+
+    walk(0, 0, 0, frozenset())
+    counted = [(cells, count_completions(t, PartialLatinSquare(n, cells)))
+               for cells in found]
+    return sorted(((cells, c) for cells, c in counted if c),
+                  key=lambda item: sorted(item[0]))

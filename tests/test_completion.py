@@ -9,6 +9,7 @@ import re
 import time
 import weakref
 from collections import Counter
+from itertools import product
 from importlib import resources
 
 import pytest
@@ -43,6 +44,7 @@ from latinsym.completion import (
 )
 
 import oracles
+from test_orbit_enum import random_conjugate
 
 
 def rep_of(spec: str) -> Isotopism:
@@ -430,10 +432,14 @@ def test_fixed_point_shape_basis_order_four():
 
 def test_basis_other_views():
     t = rep_of("2.1^2,2.1^2,2.1^2")
-    for mode in ("RS", "CS"):
-        shape = ShapeSet(frozenset((a, b) for a in (3, 4) for b in (3, 4)), mode)
+    # the second shape, a 2-cycle by the fixed points, picks other orbits
+    # in each view
+    for mode, rows in product(("RS", "CS"), ((3, 4), (1, 2))):
+        shape = ShapeSet(frozenset((a, b) for a in rows for b in (3, 4)), mode)
         basis = basis_from_shape(t, shape)
         assert sum(basis.counts) == 16
+        assert [(P.cells, c) for P, c in zip(basis.elements, basis.counts)] \
+            == oracles.basis_by_shape_walk(t, shape), mode
         for P in basis.elements:
             if mode == "RS":
                 pairs = {(r, s) for (r, _, s) in P.cells}
@@ -478,11 +484,44 @@ def test_homogeneous_basis_identity_order_two():
 
 
 def test_homogeneous_basis_honours_its_time_budget():
-    # the shape enumeration alone runs for minutes on this structure
+    # building the ZDD of the full squares of order 6 alone outlasts the
+    # budget, and would go on to its state ceiling
     started = time.monotonic()
     with pytest.raises(TimeBudgetExceededError):
-        homogeneous_basis(rep_of("1^4,1^4,1^4"), timeout_secs=1)
+        homogeneous_basis(rep_of("1^6,1^6,1^6"), timeout_secs=1)
     assert time.monotonic() - started < 5
+
+
+def test_homogeneous_basis_matches_shape_walk():
+    # every order-<= 4 structure with fixed points in all three components,
+    # and a random conjugate of each; walking the shape of 1^4 takes minutes
+    rng = random.Random(61)
+    checked = 0
+    for n in (1, 2, 3, 4):
+        for z in enumerate_autotopism_structures(n):
+            if not (z.rows.count(1) and z.cols.count(1) and z.syms.count(1)) \
+                    or str(z) == "1^4,1^4,1^4":
+                continue
+            canon = canonical_isotopism(z)
+            for t in (canon, random_conjugate(rng, canon)):
+                pairs = frozenset((r, c) for r in t.alpha.fixed_points()
+                                  for c in t.beta.fixed_points())
+                expected = oracles.basis_by_shape_walk(t, ShapeSet(pairs))
+                if not expected:
+                    with pytest.raises(ValueError):
+                        homogeneous_basis(t)
+                    continue
+                basis = homogeneous_basis(t)
+                assert [(P.cells, c) for P, c in zip(basis.elements, basis.counts)] \
+                    == expected, str(z)
+                checked += 1
+    assert checked == 12  # six of the structures admit a full square
+
+
+def test_homogeneous_basis_identity_order_four_is_every_latin_square():
+    basis = homogeneous_basis(Isotopism.identity(4))
+    assert {P.cells for P in basis.elements} == set(oracles.all_latin_squares(4))
+    assert basis.cardinality == 576 and basis.counts == [1] * 576
 
 
 def test_homogeneous_basis_needs_fixed_points():

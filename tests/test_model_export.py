@@ -17,6 +17,7 @@ import pytest
 from latinsym.perm_algebra import IsotopismStructure
 from latinsym.pls_core import Isotopism, PartialLatinSquare, canonical_isotopism
 from latinsym.orbit_enum import delta_census, delta_full, iter_invariant_squares
+from latinsym.completion import is_theta_completable
 from latinsym.model_export import (
     WeightedModel,
     decode_solution,
@@ -225,6 +226,63 @@ def test_lp_raw_and_chain_forms_have_equal_feasible_sets():
     assert count_feasible(export_ip(model)) == count_feasible(
         export_ip(model, raw_symmetry=True)
     )
+
+
+def milp_feasible(text: str, ones: frozenset) -> bool:
+    """Whether the LP text has a 0/1 point with the triples in ones set to 1,
+    as scipy's MILP solver finds."""
+    optimize = pytest.importorskip("scipy.optimize")
+    import numpy as np
+
+    le_rows, eq_pairs, size_row, binaries = parse_lp(text)
+    col = {v: i for i, v in enumerate(binaries)}
+    rows = [({v: 1 for v in vs}, -np.inf, 1) for vs in le_rows]
+    rows += [({a: 1, b: -1}, 0, 0) for a, b in eq_pairs]
+    if size_row:
+        names, m = size_row
+        rows.append(({v: 1 for v in names}, m, m))
+    A = np.zeros((len(rows), len(binaries)))
+    for k, (coeffs, _, _) in enumerate(rows):
+        for v, a in coeffs.items():
+            A[k, col[v]] = a
+    lower = np.zeros(len(binaries))
+    for triple in ones:
+        lower[col[variable_name(*triple)]] = 1
+    result = optimize.milp(
+        np.zeros(len(binaries)),
+        constraints=optimize.LinearConstraint(A, [lo for _, lo, _ in rows],
+                                              [hi for _, _, hi in rows]),
+        integrality=np.ones(len(binaries)),
+        bounds=optimize.Bounds(lower, 1),
+    )
+    assert result.status in (0, 2), result.message  # solved, or infeasible
+    return result.status == 0
+
+
+def test_lp_milp_witness_matches_theta_completability():
+    # P's cells fixed at 1 and the size at n^2: the LP is feasible exactly
+    # when an invariant full square contains P
+    rng = random.Random(71)
+    four = Isotopism.parse("(1 2)(3 4);(1 2)(3 4);(1 2)", degree=4)
+    cases = [(four, frozenset({(1, 1, 3), (1, 2, 4), (2, 1, 4), (2, 2, 3)}))]
+    # the 32 size-2 squares of the disputed table-5 row, 8 of which do not
+    # complete though the reference table says they all do
+    disputed = rep_of("2.1^2,2.1^2,2.1^2")
+    cases += [(disputed, cells) for cells in iter_invariant_squares(disputed, 2)
+              if len(cells) == 2]
+    for spec in ("2.1^2,2.1^2,2.1^2", "2^2,2^2,2^2", "1^3,1^3,1^3",
+                 "3.1,3.1,3.1", "2,2,1^2"):
+        t = rep_of(spec)
+        squares = list(iter_invariant_squares(t))
+        cases += [(t, cells) for cells in rng.sample(squares, min(8, len(squares)))]
+    verdicts = []
+    for t, cells in cases:
+        n = t.degree
+        text = export_ip(WeightedModel(n, t, target_size=n * n))
+        verdict = is_theta_completable(t, PartialLatinSquare(n, cells))
+        assert milp_feasible(text, cells) == verdict, (t, sorted(cells))
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 # ----------------------------------------------------------------------

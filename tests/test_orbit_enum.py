@@ -298,10 +298,11 @@ def test_cover_counter_packed_interface():
     assert counter.count_from(0, 0, 0) == 576
     assert counter.budget.nodes > 0
     # one orbit placed: the squares of order 4 with that fixed cell
-    i = 0
-    assert counter.count_from(ovs.rc_masks[i], ovs.rs_masks[i], ovs.cs_masks[i]) \
-        == counter.count(ovs.masks[i]) == 576 // 4
-    assert counter.can_cover(ovs.rc_masks[i], ovs.rs_masks[i], ovs.cs_masks[i])
+    N = ovs.n * ovs.n
+    rc, rs, cs = (ovs.masks[0] >> k * N & (1 << N) - 1 for k in range(3))
+    assert ovs.pack(rc, rs, cs) == ovs.masks[0]
+    assert counter.count_from(rc, rs, cs) == 576 // 4
+    assert counter.can_cover(rc, rs, cs)
 
 
 def test_cover_counter_budget():
