@@ -10,9 +10,9 @@ mismatch.  Counts are always printed in full decimal.  Timing and node
 diagnostics go to stderr so stdout stays byte-identical from run to run.
 The census counts by a frontier DP whose state is one packed integer of the
 three conflict masks; its node count is the number of DP states expanded.
-census --full-only and complete --count run the same DP in its full-only
-mode, and ccensus counts the down-closure of the ZDD of full covers that
-this mode builds.
+census --full-only and complete --count run the same DP with plain counts
+for values, and ccensus counts the down-closure of the ZDD of full covers
+that this count builds.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .budget import BudgetExceededError, deadline_after
 from .perm_algebra import (
     _S3,
     IsotopismStructure,
+    check_parsed_order,
     count_structures_and_classes,
     cs_nm_count,
     enumerate_autotopism_structures,
@@ -110,6 +111,7 @@ def _table1_lines(upto: int, deadline: Optional[float]) -> list[str]:
 def cmd_structures(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ValueError("--n must be at least 1")
+    check_parsed_order(args.n)
     deadline = deadline_after(args.timeout_secs)
     # every mode prints only once complete, so an abort leaves stdout empty
     if args.parastrophic:

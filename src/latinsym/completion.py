@@ -7,7 +7,7 @@ containing P is itself invariant under t.  Through the orbit bijection this
 is a cover question: can P's orbit subset be extended by disjoint valid
 orbits to cover all n^2 cells?  Everything here runs on that formulation.
 Counts of covers (count_completions, the basis member counts) come from the
-census module's frontier DP in its full-only mode; the yes/no question for
+census module's frontier DP with plain counts; the yes/no question for
 one square (is_theta_completable) goes to the memoized cover search
 orbit_enum.CoverCounter, which stops at the first cover.  The completability
 census and the bases ask no question per square; both are read off the ZDD
@@ -31,8 +31,8 @@ from .orbit_enum import (
     CoverCounter,
     ValidOrbitSet,
     _Budget,
-    _full_levels,
     _full_zdd,
+    _levels,
     build_valid_orbits,
     delta_full,
 )
@@ -111,8 +111,8 @@ def count_completions(t: Isotopism, P: PartialLatinSquare, *,
     if not is_autotopism(t, P):
         raise ValueError("the square is not invariant under the isotopism")
     ovs = build_valid_orbits(t)
-    return _full_levels(ovs, _state_of(ovs, _orbit_indices_of(ovs, P)),
-                        _Budget(max_nodes, timeout_secs))
+    return _levels(ovs, _state_of(ovs, _orbit_indices_of(ovs, P)),
+                   _Budget(max_nodes, timeout_secs))
 
 
 def is_theta_completable(t: Isotopism, P: PartialLatinSquare, *,
@@ -154,7 +154,6 @@ def completability_census(t: Isotopism, *, max_nodes: Optional[int] = None,
     budget = _Budget(max_nodes, timeout_secs)
     zdd, root = _full_zdd(build_valid_orbits(t), budget)
     per_size = zdd.size_counts(zdd.down_closure(root))
-    per_size.pop(0, None)  # the empty square
     return CensusReport(
         structure=t.structure(),
         per_size=per_size,
@@ -208,8 +207,8 @@ def basis_from_shape(t: Isotopism, shape: ShapeSet, *,
     valid orbit lies wholly inside or outside it, and an invariant full
     square restricts to the shape as its set of inside orbits.  The family
     is that projection of the ZDD of full covers, so it partitions the
-    invariant full squares; each member is counted by the full-only DP, and
-    the counts are asserted to sum to the full count."""
+    invariant full squares; each member is counted by the DP's full count,
+    and the counts are asserted to sum to the full count."""
     ovs = build_valid_orbits(t)
     budget = _Budget(max_nodes, timeout_secs)
     zdd, root = _full_zdd(ovs, budget)
@@ -228,9 +227,9 @@ def basis_from_shape(t: Isotopism, shape: ShapeSet, *,
     for member in zdd.members(zdd.project(root, inside)):
         cells = frozenset().union(*(cells_of[i] for i in member))
         elements.append(PartialLatinSquare(n, cells))
-        counts.append(_full_levels(ovs, _state_of(ovs, member), budget))
+        counts.append(_levels(ovs, _state_of(ovs, member), budget))
     total = sum(counts)
-    full = _full_levels(ovs, 0, budget)
+    full = _levels(ovs, 0, budget)
     if total != full:
         raise AssertionError(
             f"basis counts sum to {total}, but there are {full} invariant "

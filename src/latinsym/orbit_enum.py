@@ -7,35 +7,36 @@ an orbit is itself a valid square, so counting invariant squares of each size
 reduces to counting conflict-free subsets of "valid" orbits, where two orbits
 conflict when they share a (row,col), (row,sym), or (col,sym) pair.
 
-The census is a forward frontier DP over the n^2 cells in row-major order.
-Each valid orbit is grouped under its least cell, so a group places at most
-one orbit.  A level maps a state to the size polynomial of the partial
-squares decided so far; the state is one packed integer rc | rs << n^2 |
-cs << 2n^2 of the three conflict masks, cut down to the bits that orbits
-whose least cell lies ahead can still touch.  At each cell every state
-either passes or places one compatible orbit of the cell's group, which
-shifts its polynomial by the orbit length.  Only two levels are alive at a
-time, and the cost grows with the number of distinct states, not with the
-number of squares counted; a level that would outgrow _MAX_LEVEL_BYTES
-aborts the census with StateBudgetExceededError.
+The census and the full count are one forward frontier DP over the n^2
+cells in row-major order (_levels).  Each valid orbit is grouped under its
+least cell, so a group places at most one orbit.  A level maps a state, one
+packed integer rc | rs << n^2 | cs << 2n^2 of the three conflict masks cut
+down to the bits that orbits ahead can still touch, to a value.  At each
+cell a state that covers the cell passes it; any other either leaves it
+blank or places one compatible orbit of the cell's group.  Only two levels
+are alive at a time, the cost grows with the number of distinct states, not
+with the number of squares counted, and a level that would outgrow
+_MAX_LEVEL_BYTES aborts with StateBudgetExceededError.  The two modes differ
+only in what they set up before the loop:
+
+- the census: a value is the size polynomial of the partial squares decided
+  so far, and placing an orbit shifts it by the orbit's length;
+- the full count: a value is a plain count, no cell may be left blank, and
+  the state also keeps the bits of the cells ahead.  delta_full,
+  count_completions and the basis counts go through it; keeping its every
+  level gives the family of full covers as a ZDD over the valid orbits
+  (_full_zdd), whose down-closure is the completability census and whose
+  projection onto the orbits inside an invariant shape is that shape's basis.
 
 At a row boundary that no valid orbit crosses, a state is a column-symbol
 mask only, and states that a relabelling of the fixed columns of beta and
 the fixed symbols of gamma maps onto each other have equally many fillings
-of each size ahead; such states are merged into one (_row_merge).  The
-uncapped census of 1^4 then expands 6,283 states, where it expanded 366,614,
-and at the four boundaries of 1^5 the merge leaves 6, 290, 4,908 and 19,286
-states of 1,546, 5,961, 109,905 and 600,410, so that census finishes.
-
-Full covers are counted by the same DP in a full-only mode: values are plain
-counts, the state also keeps the cell bits still ahead, and a state leaves
-cell p only if p is covered.  delta_full, count_completions and the basis
-counts all go through it.  Its states merge at row boundaries too, unless
-the count starts from placed orbits, whose later rows break the symmetry,
-or keeps its levels: keeping every level of that DP gives the family of
-full covers as a ZDD over the valid orbits (_full_zdd), which needs every
-state apart.  Its down-closure is the completability census, and its
-projection onto the orbits inside an invariant shape is that shape's basis.
+of each size ahead; such states are merged into one (_row_merge), unless the
+count starts from placed orbits, whose later rows break the symmetry, or
+keeps its levels for the ZDD, which needs every state apart.  The uncapped
+census of 1^4 then expands 6,283 states, where it expanded 366,614, and at
+the four boundaries of 1^5 the merge leaves 6, 290, 4,908 and 19,286 states
+of 1,546, 5,961, 109,905 and 600,410, so that census finishes.
 CoverCounter, a memoized exact-cover search on the same packed states, only
 decides whether a cover exists, where its early exit beats a full DP pass.
 """
@@ -67,18 +68,19 @@ from .pls_core import (
     triple_orbits,
 )
 
-# Most bytes one DP level, or the cover search's memo, may take.  A state
-# costs about _STATE_BYTES of key and dict entry plus, in the census, its size
-# polynomial, so the state ceiling of a census is this divided by that
+# Most bytes the DP level being built, the cover search's memo, or the ZDD
+# with the levels it keeps may take.  It bounds that table, not the process:
+# the level being read lives beside the one being built, so census --z
+# 2^3,2^3,2^3, which aborts at cell 16 with 1,001,625 states, peaks at
+# 434 MB.  A state costs about _STATE_BYTES of key and dict entry plus, in
+# the census, its size polynomial; the state ceiling is this divided by that
 # estimate: 1.86 million states for the largest census in the tables
 # (1^4,1^4,1^4 uncapped, whose largest level holds 4,284), 1.08 million for
-# an uncapped census at order 5 (1^5's largest level holds 600,410, and the
-# process peaks at about 310 MB), which would otherwise outgrow memory long
-# before it outgrows the node budget.  A full count or a cover memo, whose
-# values are plain ints, gets 3.36 million.  A ZDD node or memo entry
-# measured 90 to 100 bytes by tracemalloc and about 112 bytes of RSS (at
-# 1^5, which stops at 2.1 million entries and 255 MB); the margin covers the
-# size polynomials of the final count.
+# an uncapped census at order 5 (1^5's largest level holds 600,410; the
+# process peaks at about 310 MB), and 3.36 million for plain-count values.  A
+# ZDD node or memo entry measured 90 to 100 bytes by tracemalloc and about
+# 112 of RSS (1^5 stops at 2.1 million entries and 255 MB); the margin covers
+# the size polynomials of the final count.
 _MAX_LEVEL_BYTES = 320 << 20
 _STATE_BYTES = 100
 _ZDD_ENTRY_BYTES = 150
@@ -349,51 +351,94 @@ def _merged(level: dict[int, int], canon) -> dict[int, int]:
     return out
 
 
-def _census_levels(ovs: ValidOrbitSet, cap: int, budget: _Budget) -> dict[int, int]:
-    """Per-size counts, sizes 1..cap, of the conflict-free orbit subsets."""
+def _poly_width(groups) -> int:
+    """Digit width of the size polynomials over orbit groups: sum(c_s x^s)
+    is stored as the integer sum(c_s 2^(width s)).  A family holding at most
+    one orbit per group has at most prod(len(group) + 1) members, so the
+    digits never carry into each other."""
+    return prod(len(group) + 1 for group in groups).bit_length()
+
+
+def _size_counts(poly: int, width: int) -> dict[int, int]:
+    """The non-zero coefficients of a packed size polynomial, sizes >= 1:
+    size 0 is the empty square, which no count reports."""
+    digit = (1 << width) - 1
+    return {s: c for s in range(1, poly.bit_length() // width + 1)
+            if (c := (poly >> width * s) & digit)}
+
+
+def _levels(ovs: ValidOrbitSet, pre: int, budget: _Budget,
+            cap: Optional[int] = None, trail: Optional[list] = None):
+    """The frontier DP of this module from the packed state pre.  With cap,
+    the census: values are size polynomials cut at size cap, and the result
+    is the per-size counts of sizes 1..cap.  Without, the full count: the
+    number of full covers extending pre.  If trail is a list, (group, keep,
+    level) is appended to it for every cell, level being the states before
+    the cell, and the state ceiling bounds the kept levels and the current
+    one together."""
     N = ovs.n * ovs.n
-    groups, ahead = _orbit_groups(ovs, 0)
-    # A size polynomial sum(c_s x^s) is stored as the integer sum(c_s 2^(width s)).
-    # At most one orbit per group is placed, so every coefficient stays within
-    # the product below and the digits never carry into each other.
-    width = prod(len(group) + 1 for group in groups).bit_length()
-    window = (1 << width * (cap + 1)) - 1
+    groups, ahead = _orbit_groups(ovs, pre)
+    if cap is None:
+        # An orbit placed at its least cell can cover a later cell that no
+        # orbit ahead touches, so a state keeps the bits of the cells ahead.
+        cells = (1 << N) - 1
+        ahead = [a | cells >> p << p for p, a in enumerate(ahead)]
+        kind, whose, width, window, blank = "full-count", "its", 0, -1, []
+    else:
+        width = _poly_width(groups)
+        window = (1 << width * (cap + 1)) - 1
+        kind, whose, blank = "census", "this census's", [(0, 0)]
+    # a census value takes up to window's bits; a full count's, -1, adds none
+    ceiling = _MAX_LEVEL_BYTES // (_STATE_BYTES + window.bit_length() // 8)
     spend = budget.spend
-    ceiling = _MAX_LEVEL_BYTES // (_STATE_BYTES + width * (cap + 1) // 8)
-    merge_at, canon = _row_merge(ovs)
-    level = {0: 1}
+    kept = 0
+    # pre places orbits in later rows, and the ZDD needs every state apart
+    merge_at, canon = _row_merge(ovs) if not pre and trail is None else ((), None)
+    level = {pre & ahead[0]: 1}
     for p in range(N):
         if p in merge_at:
             level = _merged(level, canon)
         keep = ahead[p + 1]
-        moves = [(ovs.masks[i], ovs.lengths[i] * width) for i in groups[p]]
-        if not moves and keep == ahead[p]:
+        group = groups[p]
+        # only the census skips a cell: a full count's ahead[p] holds bit p
+        if not group and keep == ahead[p]:
             continue
+        bit = 1 << p
+        moves = blank + [(ovs.masks[i], ovs.lengths[i] * width) for i in group]
+        if trail is not None:
+            trail.append((group, keep, level))
+            kept += len(level)
         budget.check_time()
-        # each state makes at most 1 + len(moves) successors
-        watch = len(level) * (1 + len(moves)) > ceiling
+        limit = ceiling - kept
+        # each state makes at most 1 + len(group) successors
+        watch = len(level) * (1 + len(group)) > limit
         nxt: dict[int, int] = {}
         get = nxt.get
-        for key, poly in level.items():
+        for key, value in level.items():
             spend()
-            k = key & keep
-            nxt[k] = get(k, 0) + poly
-            for mask, shift in moves:
-                if key & mask:
-                    continue
-                moved = (poly << shift) & window
-                if moved:
-                    k = (key | mask) & keep
-                    nxt[k] = get(k, 0) + moved
-            if watch and len(nxt) > ceiling:
+            if key & bit:
+                # cell p is covered, so every orbit of its group conflicts
+                k = key & keep
+                nxt[k] = get(k, 0) + value
+            else:
+                for mask, shift in moves:
+                    if not key & mask:
+                        # unshifted: a blank or a full-count move
+                        moved = value << shift & window if shift else value
+                        if moved:
+                            k = (key | mask) & keep
+                            nxt[k] = get(k, 0) + moved
+            if watch and len(nxt) > limit:
                 raise StateBudgetExceededError(
-                    f"census level at cell {p} holds {len(nxt)} states, "
-                    f"over this census's ceiling of {ceiling}"
+                    f"{kind} level at cell {p} holds {len(nxt)} states"
+                    + (f" beside {kept} kept" if kept else "")
+                    + f", over {whose} ceiling of {ceiling}"
                 )
+        if not nxt:
+            return 0
         level = nxt
-    poly = level[0]
-    digit = (1 << width) - 1
-    return {s: c for s in range(1, cap + 1) if (c := (poly >> width * s) & digit)}
+    value = level.get(0, 0)
+    return value if cap is None else _size_counts(value, width)
 
 
 def delta_census(t: Isotopism, *, max_size: Optional[int] = None,
@@ -411,7 +456,7 @@ def delta_census(t: Isotopism, *, max_size: Optional[int] = None,
     ovs = build_valid_orbits(t)
     cap = n * n if max_size is None else max(0, min(max_size, n * n))
     budget = _Budget(max_nodes, timeout_secs)
-    counts = _census_levels(ovs, cap, budget)
+    counts = _levels(ovs, 0, budget, cap)
     return CensusReport(
         structure=t.structure(),
         per_size=counts,
@@ -444,75 +489,15 @@ def iter_invariant_squares(t: Isotopism, max_size: Optional[int] = None
     yield from rec(0, 0, 0, frozenset())
 
 
-def _full_levels(ovs: ValidOrbitSet, pre: int, budget: _Budget,
-                 trail: Optional[list] = None) -> int:
-    """Number of full covers of all n^2 cells by disjoint valid orbits that
-    extend the packed state pre: the census DP in a full-only mode.
-
-    Orbits that conflict with pre are dropped, values are plain counts, and
-    a state leaves cell p only if p is covered, by pre or by an orbit placed
-    so far.  If trail is a list, (group, keep, level) is appended to it for
-    every cell, level being the states before the cell, and the state
-    ceiling bounds the kept levels and the current one together.
-    """
-    N = ovs.n * ovs.n
-    groups, ahead = _orbit_groups(ovs, pre)
-    cells = (1 << N) - 1
-    spend = budget.spend
-    ceiling = _MAX_LEVEL_BYTES // _STATE_BYTES
-    kept = 0
-    # pre places orbits in later rows, and the ZDD needs every state apart
-    merge_at, canon = _row_merge(ovs) if not pre and trail is None else ((), None)
-    level = {pre & cells: 1}
-    for p in range(N):
-        if p in merge_at:
-            level = _merged(level, canon)
-        # An orbit placed at its least cell can cover a later cell that no
-        # orbit ahead touches, so the state keeps the bits of every cell
-        # after p besides those an orbit ahead can touch.
-        keep = ahead[p + 1] | cells >> (p + 1) << (p + 1)
-        bit = 1 << p
-        moves = [ovs.masks[i] for i in groups[p]]
-        if trail is not None:
-            trail.append((groups[p], keep, level))
-            kept += len(level)
-        budget.check_time()
-        limit = ceiling - kept
-        watch = len(level) * (1 + len(moves)) > limit
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for key, count in level.items():
-            spend()
-            if key & bit:
-                # cell p is covered, so every orbit of its group conflicts
-                k = key & keep
-                nxt[k] = get(k, 0) + count
-            else:
-                for mask in moves:
-                    if not key & mask:
-                        k = (key | mask) & keep
-                        nxt[k] = get(k, 0) + count
-            if watch and len(nxt) > limit:
-                raise StateBudgetExceededError(
-                    f"full-count level at cell {p} holds {len(nxt)} states"
-                    + (f" beside {kept} kept" if kept else "")
-                    + f", over its ceiling of {ceiling}"
-                )
-        if not nxt:
-            return 0
-        level = nxt
-    return level.get(0, 0)
-
-
 def delta_full(t: Isotopism, *, max_nodes: Optional[int] = None,
                timeout_secs: Optional[float] = None) -> int:
     """Number of full Latin squares invariant under t.
 
-    Counted by the full-only frontier DP rather than by running the whole
-    census and reading off the top size.  max_nodes bounds the DP states
-    expanded.
+    Counted by the frontier DP's full count rather than by running the
+    whole census and reading off the top size.  max_nodes bounds the DP
+    states expanded.
     """
-    return _full_levels(build_valid_orbits(t), 0, _Budget(max_nodes, timeout_secs))
+    return _levels(build_valid_orbits(t), 0, _Budget(max_nodes, timeout_secs))
 
 
 # ----------------------------------------------------------------------
@@ -665,9 +650,9 @@ class _Zdd:
             yield path
 
     def size_counts(self, root: int) -> dict[int, int]:
-        """Number of members of root's family by size, the size of a member
-        being the total length of its orbits.  Counting makes no nodes, so
-        the unique table and the memo are dropped first."""
+        """Number of non-empty members of root's family by size, the size of
+        a member being the total length of its orbits.  Counting makes no
+        nodes, so the unique table and the memo are dropped first."""
         self.unique.clear()
         self.memo.clear()
         var, lo, hi, lengths, width = self.var, self.lo, self.hi, self.lengths, self.width
@@ -676,15 +661,11 @@ class _Zdd:
         for i in range(root, 1, -1):
             if seen[i]:
                 seen[lo[i]] = seen[hi[i]] = 1
-        # size polynomials packed as in the census DP, one digit per size
-        poly = {0: 0, 1: 1}
+        poly = {0: 0, 1: 1}  # size polynomials packed as by _poly_width
         for i in range(2, root + 1):
             if seen[i]:
                 poly[i] = poly[lo[i]] + (poly[hi[i]] << lengths[var[i]] * width)
-        top = poly[root]
-        digit = (1 << width) - 1
-        return {s: c for s in range(top.bit_length() // width + 1)
-                if (c := (top >> width * s) & digit)}
+        return _size_counts(poly[root], width)
 
 
 def _full_zdd(ovs: ValidOrbitSet, budget: _Budget) -> tuple[_Zdd, int]:
@@ -692,7 +673,7 @@ def _full_zdd(ovs: ValidOrbitSet, budget: _Budget) -> tuple[_Zdd, int]:
 
     Variable v is valid orbit v: triple_orbits lists the orbits by least
     triple, so _orbit_groups holds 0..V-1 in cell order, as the variables
-    must be.  The full-only DP runs forward keeping every level; then each
+    must be.  The DP's full count runs forward keeping every level; then each
     state becomes a node, cell by cell from the last: the final state 0 is
     the family of the empty set, and a state that cannot reach it is the
     empty family.  At a covered cell a state is its successor's node; at a
@@ -702,10 +683,9 @@ def _full_zdd(ovs: ValidOrbitSet, budget: _Budget) -> tuple[_Zdd, int]:
     ZDD's tables together stay within _MAX_LEVEL_BYTES.
     """
     trail: list = []
-    found = _full_levels(ovs, 0, budget, trail)
-    # a family in the closure holds at most one orbit per group, so its
-    # size count is bounded as in the census DP
-    width = prod(len(group) + 1 for group, _, _ in trail).bit_length()
+    found = _levels(ovs, 0, budget, trail=trail)
+    # a family in the closure holds at most one orbit per group
+    width = _poly_width(group for group, _, _ in trail)
     kept = sum(len(level) for _, _, level in trail)
     room = (_MAX_LEVEL_BYTES - kept * _STATE_BYTES) // _ZDD_ENTRY_BYTES
     zdd = _Zdd(ovs.lengths, width, budget, room)
@@ -747,9 +727,9 @@ class CoverCounter:
     it that stops at the first cover found; each step branches on the
     compatible orbits through the uncovered cell with fewest of them, taking
     the first cell with at most one.  Its memo is capped at
-    _MAX_LEVEL_BYTES // _STATE_BYTES entries.  count_from() counts covers by
-    the full-only DP on the same budget, whose nodes are the search states
-    and DP states expanded.
+    _MAX_LEVEL_BYTES // _STATE_BYTES entries.  count_from() is the frontier
+    DP's full count (_levels) from the same state and on the same budget,
+    whose nodes are the search states and DP states expanded.
     """
 
     def __init__(self, ovs: ValidOrbitSet, budget: Optional[_Budget] = None):
@@ -810,7 +790,7 @@ class CoverCounter:
 
     def count_from(self, rc: int, rs: int, cs: int) -> int:
         """Number of full covers extending the state of three mask families."""
-        return _full_levels(self.ovs, self.ovs.pack(rc, rs, cs), self.budget)
+        return _levels(self.ovs, self.ovs.pack(rc, rs, cs), self.budget)
 
     def can_cover(self, rc: int, rs: int, cs: int) -> bool:
         """covers() of the state given as its three mask families."""

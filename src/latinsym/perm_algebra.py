@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .budget import check_deadline
 
@@ -402,13 +402,41 @@ def partitions_desc(n: int, max_part: Optional[int] = None) -> list[tuple[int, .
     if n < 0:
         raise ValueError("n must be non-negative")
     bound = n if max_part is None else min(max_part, n)
-    if n == 0:
-        return [()]
-    out = []
-    for first in range(bound, 0, -1):
-        for rest in partitions_desc(n - first, first):
-            out.append((first,) + rest)
-    return out
+    if bound < 1:  # only 0 has a partition without parts
+        return [()] if n == 0 else []
+    return list(_partitions(n, bound))
+
+
+def _partitions(n: int, bound: int, deadline: Optional[float] = None
+                ) -> Iterator[tuple[int, ...]]:
+    """The partitions of n >= 1 into parts <= bound, bound >= 1, in
+    descending lexicographic order, by algorithm ZS1 (Zoghbi and
+    Stojmenovic, 1998): x[h] is the last part above 1, and every entry after
+    it is 1.  Past the deadline, TimeBudgetExceededError is raised."""
+    q, r = divmod(n, bound)
+    x = [bound] * q + [r] * (r > 0) + [1] * n
+    m = q + (r > 0)  # the number of parts
+    h = q - (r < 2) if bound > 1 else -1
+    yield tuple(x[:m])
+    while x[0] != 1:
+        check_deadline(deadline)
+        if x[h] == 2:  # 2 becomes 1 + 1
+            x[h] = 1
+            m += 1
+            h -= 1
+        else:  # lower x[h] by one and refill the rest with parts up to that
+            r = x[h] - 1
+            t = m - h
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            m = h + 1 + (t > 0)
+            if t > 1:
+                h += 1
+                x[h] = t
+        yield tuple(x[:m])
 
 
 # ----------------------------------------------------------------------
@@ -472,31 +500,19 @@ def enumerate_autotopism_structures(n: int, *, deadline: Optional[float] = None
     """
     if n < 1:
         raise ValueError("n must be positive")
-    parts_list = partitions_desc(n)
-    structs = [CycleStructure.from_parts(p, n) for p in parts_list]
-    masks = _symbol_masks(n)
-    supports = [_support_mask(p) for p in parts_list]
+    structs, supports = [], []
+    for parts in _partitions(n, n, deadline):
+        structs.append(CycleStructure.from_parts(parts, n))
+        supports.append(_support_mask(parts))
+    table = _pair_kmask_table(n, deadline)
     out = []
-    npart = len(parts_list)
-    # Precompute, for each (row partition, column partition) pair, the mask of
-    # admissible symbol lengths, then test symbol supports against it.
-    for a in range(npart):
-        sa = supports[a]
-        for b in range(npart):
+    for a, sa in enumerate(supports):
+        for b, sb in enumerate(supports):
             check_deadline(deadline)
-            sb = supports[b]
-            kmask = 0
-            for i in range(1, n + 1):
-                if not sa & (1 << (i - 1)):
-                    continue
-                for j in range(1, n + 1):
-                    if sb & (1 << (j - 1)):
-                        kmask |= masks.get((i, j), 0)
-            if not kmask:
-                continue
-            for c in range(npart):
-                if supports[c] & kmask:
-                    out.append(IsotopismStructure(structs[a], structs[b], structs[c]))
+            kmask = table[(sa, sb)]
+            if kmask:
+                out += [IsotopismStructure(structs[a], structs[b], sc)
+                        for sc, sk in zip(structs, supports) if sk & kmask]
     return out
 
 

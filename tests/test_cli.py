@@ -76,6 +76,26 @@ def test_structures_timeout_exit_code(capsys, mode):
     assert time.monotonic() - started < 20
 
 
+def test_structures_order_cap(capsys):
+    # refused before any work, like every parsed order above the cap
+    rc, out, err = run(capsys, ["structures", "--n", "65", "--timeout-secs", "5"])
+    assert rc == 2
+    assert out == ""
+    assert "exceeds the largest supported order, 64" in err
+
+
+def test_structures_deadline_while_building_partitions(capsys):
+    # order 60 has 966,467 partitions; listing them and their structures
+    # takes well over the budget, so the deadline is checked as they are made
+    started = time.monotonic()
+    rc, out, err = run(capsys, ["structures", "--n", "60", "--parastrophic",
+                                "--timeout-secs", "1"])
+    assert rc == 3
+    assert out == ""
+    assert "aborted: time budget exhausted" in err
+    assert time.monotonic() - started < 5
+
+
 # ----------------------------------------------------------------------
 # census
 # ----------------------------------------------------------------------

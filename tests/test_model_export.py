@@ -10,6 +10,7 @@ check independent of the library's own counting path.
 from __future__ import annotations
 
 import random
+import re
 from itertools import product
 
 import pytest
@@ -340,6 +341,35 @@ def test_ideal_vanishes_exactly_on_members():
     # and a repeated symbol in a row violates a quadratic
     text_id = export_ideal(WeightedModel(2, Isotopism.identity(2), target_size=2))
     assert any(evaluate_ideal(text_id, 2, [(1, 1, 1), (1, 2, 1)]))
+
+
+def ideal_solution_count(text: str) -> int:
+    """Number of points of the ideal, as sympy's Groebner basis finds.
+
+    Every variable x has the generator x(1 - x), so the ideal is radical
+    and its points are 0/1; their number is the dimension of the quotient
+    ring, the count of monomials that no leading monomial of the basis
+    divides.  Those are squarefree, since x^2 leads x^2 - x."""
+    sympy = pytest.importorskip("sympy")
+    text = re.sub(r"x\[(\d+)\]\[(\d+)\]\[(\d+)\]", r"x_\1_\2_\3", text)
+    gens = [g for g in map(sympy.sympify, text.splitlines()) if g != 0]
+    xs = sorted(set().union(*(g.free_symbols for g in gens)), key=str)
+    basis = sympy.groebner(gens, *xs, order="grevlex")  # [1] if no points
+    leads = [sympy.Poly(g, *xs).monoms(order="grevlex")[0] for g in basis.exprs]
+    return sum(
+        not any(all(a <= b for a, b in zip(lead, mono)) for lead in leads)
+        for mono in product((0, 1), repeat=len(xs))
+    )
+
+
+def test_ideal_groebner_witness_matches_census():
+    # at n = 2 the ideal's points are the invariant squares of size m
+    for spec in ("1^2,1^2,1^2", "2,2,2"):  # 2,2,2 has no fixed points
+        t = rep_of(spec)
+        census = delta_census(t)
+        for m in (1, 2, 3, 4):
+            text = export_ideal(WeightedModel(2, t, target_size=m))
+            assert ideal_solution_count(text) == census.count(m), (spec, m)
 
 
 def test_ideal_deterministic():

@@ -207,6 +207,15 @@ def test_partitions_desc_order():
     assert partitions_desc(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
+@pytest.mark.parametrize("n", range(0, 17))
+def test_partitions_desc_matches_brute(n):
+    # the brute list is in descending lexicographic order as well
+    brute = oracles.brute_partitions(n)
+    assert partitions_desc(n) == brute
+    for k in (-1, 0, 1, 2, 3, n - 1, n + 2):
+        assert partitions_desc(n, k) == [p for p in brute if not p or p[0] <= k], k
+
+
 def test_cs_nm_examples():
     assert cs_nm_count(4, 2) == 1
     assert cs_nm_count(5, 1) == 5
@@ -289,11 +298,13 @@ def test_enumeration_order_n2():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_enumeration_matches_brute(n):
-    got = {
+    # in order too: the brute triple loop runs over descending partitions,
+    # row-major, which is the listing order the CSVs rely on
+    got = [
         (z.rows.parts(), z.cols.parts(), z.syms.parts())
         for z in enumerate_autotopism_structures(n)
-    }
-    assert got == set(oracles.brute_structures(n))
+    ]
+    assert got == oracles.brute_structures(n)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
