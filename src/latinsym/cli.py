@@ -24,7 +24,7 @@ import re
 import sys
 import time
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .budget import BudgetExceededError, deadline_after
 from .perm_algebra import (
@@ -246,15 +246,14 @@ def cmd_export(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 def _reference_rows(name: str) -> list[list[str]]:
+    """A reference CSV's rows, the header first."""
     with (resources.files("latinsym") / "data" / name).open() as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return [row for row in reader if row]
+        return [row for row in csv.reader(fh) if row]
 
 
 def _diff_table1() -> tuple[list[str], int]:
     mismatches, cells = [], 0
-    for row in _reference_rows("table1.csv"):
+    for row in _reference_rows("table1.csv")[1:]:
         n = int(row[0])
         for m in range(1, 9):
             ref = row[m]
@@ -273,25 +272,25 @@ def _diff_table1() -> tuple[list[str], int]:
     return mismatches, cells
 
 
-def _diff_census_table(name: str, size_columns: int, has_order_column: bool,
-                       completability: bool) -> tuple[list[str], int]:
+def _diff_census_table(name: str, census: Callable) -> tuple[list[str], int]:
+    """Compare census(t) with a reference table whose header names its z,
+    s<k> and total columns."""
+    header, *rows = _reference_rows(name)
+    z_col, total_col = header.index("z"), header.index("total")
+    sizes = [(int(h[1:]), col) for col, h in enumerate(header)
+             if h.startswith("s") and h[1:].isdigit()]
     mismatches, cells = [], 0
-    for row in _reference_rows(name):
-        offset = 1 if has_order_column else 0
-        z = IsotopismStructure.parse(row[offset])
-        t = canonical_isotopism(z)
-        if completability:
-            report = completability_census(t)
-        else:
-            report = delta_census(t)
-        for s in range(1, size_columns + 1):
+    for row in rows:
+        z = IsotopismStructure.parse(row[z_col])
+        report = census(canonical_isotopism(z))
+        for s, col in sizes:
             cells += 1
-            ref = int(row[offset + s] or 0)
+            ref = int(row[col] or 0)
             got = report.per_size.get(s, 0)
             if got != ref:
                 mismatches.append(f"z={z} s={s}: computed {got}, reference {ref}")
         cells += 1
-        ref_total = int(row[offset + size_columns + 1])
+        ref_total = int(row[total_col])
         if report.total != ref_total:
             mismatches.append(f"z={z} total: computed {report.total}, reference {ref_total}")
     return mismatches, cells
@@ -301,12 +300,10 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.table == 1:
         mismatches, cells = _diff_table1()
-    elif args.table == 2:
-        mismatches, cells = _diff_census_table("table2.csv", 9, True, False)
-    elif args.table == 3:
-        mismatches, cells = _diff_census_table("table3.csv", 16, False, False)
+    elif args.table == 5:
+        mismatches, cells = _diff_census_table("table5.csv", completability_census)
     else:
-        mismatches, cells = _diff_census_table("table5.csv", 16, True, True)
+        mismatches, cells = _diff_census_table(f"table{args.table}.csv", delta_census)
     print(f"elapsed {time.perf_counter() - started:.1f}s", file=sys.stderr)
     if mismatches:
         for line in mismatches:

@@ -209,15 +209,15 @@ def basis_from_shape(t: Isotopism, shape: ShapeSet, *,
     is that projection of the ZDD of full covers, so it partitions the
     invariant full squares; each member is counted by the DP's full count,
     and the counts are asserted to sum to the full count."""
+    n = t.degree
+    view = ("RC", "RS", "CS").index(shape.mode) * n * n
+    target = _shape_mask(n, shape.pairs) << view
+    _validate_shape_invariance(t, shape)
     ovs = build_valid_orbits(t)
     budget = _Budget(max_nodes, timeout_secs)
     zdd, root = _full_zdd(ovs, budget)
     if not root:
         raise ValueError("the isotopism admits no invariant full square")
-    _validate_shape_invariance(t, shape)
-    n = ovs.n
-    view = ("RC", "RS", "CS").index(shape.mode) * n * n
-    target = _shape_mask(n, shape.pairs) << view
     inside = [bool(mask & target) for mask in ovs.masks]
     cells_of = [frozenset(o.triples) for o in ovs.orbits]
     # Members come as lists of orbit indices in lexicographic order.  Every

@@ -64,7 +64,7 @@ from .pls_core import (
     Isotopism,
     PartialLatinSquare,
     TripleOrbit,
-    isotopisms_between,
+    autotopism_group,
     triple_orbits,
 )
 
@@ -856,22 +856,34 @@ def delta_size_one(z: IsotopismStructure) -> int:
 
 
 # ----------------------------------------------------------------------
-# Isotopism-class slices of the census (brute force, small orders)
+# Isotopism-class slices of the census
 # ----------------------------------------------------------------------
 
-def delta_isotopism_class(t: Isotopism, P: PartialLatinSquare,
-                          max_order: int = 3) -> int:
-    """Number of invariant squares of size |P| isotopic to P."""
-    n = t.degree
-    if n > max_order:
-        raise ValueError(f"order {n} exceeds the brute-force cap {max_order}")
-    if P.n != n:
+def _centralizer_order(z: IsotopismStructure) -> int:
+    """|C(t)| for t of structure z: the product, over the three components,
+    of j^m * m! for each length j that has m cycles."""
+    return prod(j ** m * factorial(m)
+                for cs in z.components for j, m in enumerate(cs.counts, start=1))
+
+
+def delta_isotopism_class(t: Isotopism, P: PartialLatinSquare) -> int:
+    """Number of t-invariant squares isotopic to P, which is
+    |C(t)| * #{a in A_P with t's structure} / |A_P|, A_P the autotopism group.
+
+    By orbit-stabilizer in the isotopism group G: count the pairs (Q, a), Q
+    isotopic to P and a an autotopism of Q with t's structure, both ways.
+    The class has |G|/|A_P| members, each with as many such a as P has,
+    since A_Q is conjugate to A_P.  Each of the |G|/|C(t)| isotopisms with
+    t's structure is a conjugate of t, so it fixes as many members as t
+    does.  autotopism_group raises OrderLimitError above order 5.
+    """
+    if P.n != t.degree:
         raise ValueError("degree mismatch")
-    count = 0
-    for cells in iter_invariant_squares(t, max_size=P.size):
-        if len(cells) != P.size:
-            continue
-        Q = PartialLatinSquare(n, cells)
-        if isotopisms_between(Q, P, max_order=max_order):
-            count += 1
-    return count
+    if P.is_empty():
+        return 0
+    z = t.structure()
+    group = autotopism_group(P)
+    hits = _centralizer_order(z) * sum(1 for a in group if a.structure() == z)
+    if hits % len(group):
+        raise AssertionError("class slice not divisible by the autotopism group order")
+    return hits // len(group)

@@ -565,62 +565,50 @@ def _pair_kmask_table(n: int, deadline: Optional[float] = None
     return table
 
 
-def _symbol_hits(weights: dict[int, int]):
-    """hits(kmask): the number of partitions whose support meets kmask."""
-    hit_cache: dict[int, int] = {}
-
-    def hits(kmask: int) -> int:
-        if kmask not in hit_cache:
-            hit_cache[kmask] = sum(w for m, w in weights.items() if m & kmask)
-        return hit_cache[kmask]
-
-    return hits
-
-
 def count_autotopism_structures(n: int, *, deadline: Optional[float] = None) -> int:
-    """|enumerate_autotopism_structures(n)| without materializing the structures.
-
-    Groups partitions by support set; admissibility of a triple depends only
-    on the three supports, so the count is a weighted sum over support pairs
-    of the number of symbol partitions meeting the admissible-length mask.
-    Past the time.monotonic() instant deadline, TimeBudgetExceededError is
-    raised.
-    """
-    masks, weights = _support_weights(n)
-    table = _pair_kmask_table(n, deadline)
-    hits = _symbol_hits(weights)
-    total = 0
-    for a_mask in masks:
-        check_deadline(deadline)
-        wa = weights[a_mask]
-        for b_mask in masks:
-            total += wa * weights[b_mask] * hits(table[(a_mask, b_mask)])
-    return total
+    """|enumerate_autotopism_structures(n)| without materializing the
+    structures; deadline is as for count_structures_and_classes."""
+    return count_structures_and_classes(n, deadline=deadline)[0]
 
 
 def count_parastrophic_classes(n: int, *, deadline: Optional[float] = None) -> int:
-    """Number of parastrophic classes of admissible structures of order n.
-
-    Burnside over the component-permuting action of S_3: the identity fixes
-    every admissible structure, each transposition fixes those with the two
-    swapped components equal, and each 3-cycle fixes those with all three
-    equal.  The admissibility test is symmetric under coordinate permutation,
-    so one transposition count serves for all three.  deadline is as for
-    count_autotopism_structures.
-    """
+    """Number of parastrophic classes of admissible structures of order n;
+    deadline is as for count_structures_and_classes."""
     return count_structures_and_classes(n, deadline=deadline)[1]
 
 
 def count_structures_and_classes(n: int, *, deadline: Optional[float] = None
                                  ) -> tuple[int, int]:
-    """count_autotopism_structures(n) and count_parastrophic_classes(n), with
-    the structure count, the identity term of the classes' Burnside sum,
-    computed once."""
-    full = count_autotopism_structures(n, deadline=deadline)
-    _, weights = _support_weights(n)
-    table = _pair_kmask_table(n)
-    hits = _symbol_hits(weights)
-    two_equal = sum(w * hits(table[(m, m)]) for m, w in weights.items())
+    """count_autotopism_structures(n) and count_parastrophic_classes(n) in
+    one pass.
+
+    Groups partitions by support set; admissibility of a triple depends only
+    on the three supports, so the structure count is a weighted sum over
+    support pairs of the number of symbol partitions meeting the
+    admissible-length mask.  The classes come from Burnside over the
+    component-permuting action of S_3: the identity fixes every admissible
+    structure, each transposition fixes those with the two swapped
+    components equal, and each 3-cycle fixes those with all three equal.
+    The admissibility test is symmetric under coordinate permutation, so one
+    transposition count serves for all three.  Past the time.monotonic()
+    instant deadline, TimeBudgetExceededError is raised.
+    """
+    masks, weights = _support_weights(n)
+    table = _pair_kmask_table(n, deadline)
+    hits: dict[int, int] = {}  # kmask -> the partitions whose support meets it
+
+    def hit(kmask: int) -> int:
+        if kmask not in hits:
+            hits[kmask] = sum(w for m, w in weights.items() if m & kmask)
+        return hits[kmask]
+
+    full = 0
+    for a_mask in masks:
+        check_deadline(deadline)
+        wa = weights[a_mask]
+        for b_mask in masks:
+            full += wa * weights[b_mask] * hit(table[(a_mask, b_mask)])
+    two_equal = sum(w * hit(table[(m, m)]) for m, w in weights.items())
     all_equal = sum(w for m, w in weights.items() if m & table[(m, m)])
     numerator = full + 3 * two_equal + 2 * all_equal
     if numerator % 6:

@@ -130,7 +130,8 @@ class Isotopism:
     gamma: Permutation
 
     def __post_init__(self) -> None:
-        if not (self.alpha.degree == self.beta.degree == self.gamma.degree):
+        # lengths, not the degree property: the group scans build millions
+        if not len(self.alpha.images) == len(self.beta.images) == len(self.gamma.images):
             raise ValueError("component degrees differ")
 
     @property
@@ -356,7 +357,8 @@ def _isotopisms_mapping(P: PartialLatinSquare, Q: PartialLatinSquare,
 
     For fixed alpha and beta the symbol permutation is pinned down on every
     symbol that occurs in P; the free remainder is filled in all possible
-    ways.  Results come out in lexicographic (alpha, beta, gamma) order.
+    ways, once per distinct pinned map.  Results come out in lexicographic
+    (alpha, beta, gamma) order.
     """
     n = P.n
     if n > max_order:
@@ -367,41 +369,41 @@ def _isotopisms_mapping(P: PartialLatinSquare, Q: PartialLatinSquare,
         return []
     target: dict[tuple[int, int], int] = {(r, c): s for (r, c, s) in Q.cells}
     cells = P.sorted_cells()
+    points = range(1, n + 1)
+    gammas: dict[tuple[int, ...], list[Permutation]] = {}
     out: list[Isotopism] = []
-    points = list(range(1, n + 1))
     for alpha_imgs in iter_permutations(points):
+        alpha = Permutation(alpha_imgs)
         for beta_imgs in iter_permutations(points):
             gamma_map: dict[int, int] = {}
-            used_targets: set[int] = set()
-            ok = True
             for (r, c, s) in cells:
                 s2 = target.get((alpha_imgs[r - 1], beta_imgs[c - 1]))
-                if s2 is None:
-                    ok = False
+                if s2 is None or gamma_map.setdefault(s, s2) != s2:
                     break
-                prev = gamma_map.get(s)
-                if prev is None:
-                    if s2 in used_targets:
-                        ok = False
-                        break
-                    gamma_map[s] = s2
-                    used_targets.add(s2)
-                elif prev != s2:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            free_src = [s for s in points if s not in gamma_map]
-            free_dst = [s for s in points if s not in used_targets]
-            alpha = Permutation(alpha_imgs)
-            beta = Permutation(beta_imgs)
-            for ext in iter_permutations(free_dst):
-                images = [0] * n
-                for s, s2 in gamma_map.items():
-                    images[s - 1] = s2
-                for s, s2 in zip(free_src, ext):
-                    images[s - 1] = s2
-                out.append(Isotopism(alpha, beta, Permutation(tuple(images))))
+            else:
+                # the map's keys are P's symbols in order of first occurrence
+                key = tuple(gamma_map.values())
+                if key not in gammas:
+                    gammas[key] = _extensions(gamma_map, n)
+                if gammas[key]:
+                    beta = Permutation(beta_imgs)
+                    out += [Isotopism(alpha, beta, gamma) for gamma in gammas[key]]
+    return out
+
+
+def _extensions(gamma_map: dict[int, int], n: int) -> list[Permutation]:
+    """The permutations of [n] that agree with gamma_map, in lexicographic
+    order; none when the map is not injective."""
+    if len(set(gamma_map.values())) < len(gamma_map):
+        return []
+    images = [gamma_map.get(s, 0) for s in range(1, n + 1)]
+    free_src = [s for s in range(1, n + 1) if s not in gamma_map]
+    free_dst = sorted(set(range(1, n + 1)).difference(gamma_map.values()))
+    out = []
+    for ext in iter_permutations(free_dst):
+        for s, s2 in zip(free_src, ext):
+            images[s - 1] = s2
+        out.append(Permutation(tuple(images)))
     return out
 
 

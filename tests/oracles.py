@@ -1,18 +1,19 @@
 """Independent brute-force oracles.
 
 Everything in here trades speed for obviousness: direct definitions, no
-bitmasks, no caching beyond memoizing whole result sets.  Test modules check
-the fast library code against these on small orders.  The three exceptions
-are walks over the library's valid-orbit masks, kept to check the DP and the
-ZDD on orders where walking is affordable: census_by_walker checks the
-census DP; completability_by_walker, which asks the library's cover search
-about every square it visits, checks the completability census; and
-basis_by_shape_walk, which counts each square that fills a shape with
-count_completions, checks the bases.
+bitmasks, no caching beyond memoizing whole result sets and each square's
+canonical form.  Test modules check the fast library code against these on
+small orders.  The three exceptions are walks over the library's valid-orbit
+masks, kept to check the DP and the ZDD on orders where walking is
+affordable: census_by_walker checks the census DP; completability_by_walker,
+which asks the library's cover search about every square it visits, checks
+the completability census; and basis_by_shape_walk, which counts each square
+that fills a shape with count_completions, checks the bases.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import permutations
 from math import lcm
@@ -145,9 +146,10 @@ def act(theta, square: frozenset) -> frozenset:
     return frozenset((al[r - 1], be[c - 1], ga[s - 1]) for r, c, s in square)
 
 
-def invariant_squares(theta, n: int) -> list[frozenset]:
+@lru_cache(maxsize=None)
+def invariant_squares(theta, n: int) -> tuple[frozenset, ...]:
     """Non-empty squares fixed by the isotopism, by filtering everything."""
-    return [p for p in all_pls(n) if act(theta, p) == p]
+    return tuple(p for p in all_pls(n) if act(theta, p) == p)
 
 
 def is_completable_to_invariant(theta, square: frozenset, n: int) -> bool:
@@ -172,6 +174,7 @@ def all_isotopisms(n: int) -> tuple:
     return tuple((a, b, g) for a in perms for b in perms for g in perms)
 
 
+@lru_cache(maxsize=None)
 def canon_key(square: frozenset, n: int) -> tuple:
     """Canonical form of a square under isotopy: the least sorted image.
 
@@ -192,6 +195,18 @@ def canon_key(square: frozenset, n: int) -> tuple:
             if best is None or key < best:
                 best = key
     return best
+
+
+def class_slice_by_canon(theta, square: frozenset, n: int) -> int:
+    """Number of theta-invariant squares isotopic to the square: those that
+    share its canonical form."""
+    return _class_sizes(theta, n)[canon_key(square, n)]
+
+
+@lru_cache(maxsize=None)
+def _class_sizes(theta, n: int) -> Counter:
+    """Canonical form -> number of theta-invariant squares that have it."""
+    return Counter(canon_key(p, n) for p in invariant_squares(theta, n))
 
 
 # ------------------------------------------------------------------- census

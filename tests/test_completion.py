@@ -449,8 +449,19 @@ def test_basis_other_views():
 
 
 def test_basis_requires_an_invariant_full_square():
-    with pytest.raises(ValueError):
-        basis_from_shape(rep_of("3,3,2.1"), ShapeSet(frozenset({(1, 1)})))
+    # the whole grid is invariant under any isotopism, so the shape passes
+    every_cell = ShapeSet(frozenset(product((1, 2, 3), repeat=2)))
+    with pytest.raises(ValueError, match="no invariant full square"):
+        basis_from_shape(rep_of("3,3,2.1"), every_cell)
+
+
+def test_basis_checks_the_shape_before_building():
+    # the order-6 ZDD of full squares outgrows its ceiling after seconds;
+    # a shape out of range is refused before it is built
+    started = time.monotonic()
+    with pytest.raises(ValueError, match="out of range"):
+        basis_from_shape(Isotopism.identity(6), ShapeSet(frozenset({(7, 7)})))
+    assert time.monotonic() - started < 1
 
 
 def test_basis_requires_invariant_shape():

@@ -11,6 +11,7 @@ import pytest
 from latinsym.perm_algebra import IsotopismStructure, Permutation, enumerate_autotopism_structures
 from latinsym.pls_core import (
     Isotopism,
+    OrderLimitError,
     PartialLatinSquare,
     apply_isotopism,
     autotopism_group,
@@ -413,8 +414,10 @@ def test_class_slice_size_one():
 
 def test_class_slices_sum_to_census():
     # summing over one representative per isotopy class at a fixed size
-    # recovers the census count for that size
-    for spec, size in (("2,2,1^2", 2), ("2.1,2.1,2.1", 4), ("3,3,3", 6)):
+    # recovers the census count for that size, at order 4 too
+    for spec, size in (("2,2,1^2", 2), ("2.1,2.1,2.1", 4), ("3,3,3", 6),
+                       ("2^2,2^2,2^2", 4), ("2.1^2,2.1^2,2.1^2", 2),
+                       ("2.1^2,2.1^2,2.1^2", 3)):
         t = rep_of(spec)
         n = t.degree
         members = [c for c in iter_invariant_squares(t, max_size=size) if len(c) == size]
@@ -425,7 +428,34 @@ def test_class_slices_sum_to_census():
             delta_isotopism_class(t, PartialLatinSquare(n, cells))
             for cells in classes.values()
         )
-        assert total == delta_census(t).count(size)
+        assert total == delta_census(t).count(size), (spec, size)
+
+
+def test_class_slice_matches_canon_oracle():
+    # every isotopy class of invariant squares of every structure of order
+    # <= 3: the count from the autotopism group against the count of
+    # squares sharing the class's canonical form
+    for n in (1, 2, 3):
+        for z in enumerate_autotopism_structures(n):
+            t = canonical_isotopism(z)
+            theta = (t.alpha.images, t.beta.images, t.gamma.images)
+            classes: dict = {}
+            for cells in oracles.invariant_squares(theta, n):
+                classes.setdefault(oracles.canon_key(cells, n), cells)
+            for cells in classes.values():
+                got = delta_isotopism_class(t, PartialLatinSquare(n, cells))
+                assert got == oracles.class_slice_by_canon(theta, cells, n), \
+                    (str(z), sorted(cells))
+
+
+def test_class_slice_edge_cases():
+    t = rep_of("2.1,2.1,2.1")
+    assert delta_isotopism_class(t, PartialLatinSquare(3, frozenset())) == 0
+    with pytest.raises(ValueError):
+        delta_isotopism_class(t, PartialLatinSquare.from_cells(2, [(1, 1, 1)]))
+    with pytest.raises(OrderLimitError):
+        delta_isotopism_class(Isotopism.identity(6),
+                              PartialLatinSquare.from_cells(6, [(1, 1, 1)]))
 
 
 def test_class_slice_unrelated_square_is_zero():
