@@ -50,14 +50,13 @@ EXIT_MISMATCH = 4
 # Shared argument plumbing
 # ----------------------------------------------------------------------
 
-def _add_selector(sub: argparse.ArgumentParser, *, theta_only: bool = False) -> None:
+def _add_selector(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--theta", metavar="SPEC",
                        help="isotopism as 'alpha;beta;gamma', cycles or image lists")
-    if not theta_only:
-        group.add_argument("--z", metavar="STRUCT",
-                           help="cycle-structure triple such as '2.1,2.1,1^3'; "
-                                "a canonical isotopism is synthesized")
+    group.add_argument("--z", metavar="STRUCT",
+                       help="cycle-structure triple such as '2.1,2.1,1^3'; "
+                            "a canonical isotopism is synthesized")
     sub.add_argument("--n", type=int, default=None,
                      help="degree hint when --theta omits the largest point")
 
@@ -137,18 +136,17 @@ def cmd_structures(args: argparse.Namespace) -> int:
 def _emit_report(report, args: argparse.Namespace) -> None:
     if args.json:
         payload = report.to_json_dict()
-        diagnostics = payload.pop("diagnostics", None)
+        del payload["diagnostics"]
         print(json.dumps(payload, sort_keys=True))
-        if diagnostics:
-            print(f"diagnostics: {diagnostics}", file=sys.stderr)
-        return
-    if args.csv:
+    elif args.csv:
         sys.stdout.write(report.to_csv())
-        return
-    print(f"structure {report.structure}")
-    for size, value in sorted(report.per_size.items()):
-        print(f"{size} {value}")
-    print(f"total {report.total}")
+    else:
+        print(f"structure {report.structure}")
+        for size, value in sorted(report.per_size.items()):
+            print(f"{size} {value}")
+        print(f"total {report.total}")
+    print(f"diagnostics: elapsed {report.elapsed:.3f}s, "
+          f"node_count {report.node_count} nodes", file=sys.stderr)
 
 
 def cmd_census(args: argparse.Namespace) -> int:
@@ -184,7 +182,6 @@ def cmd_census(args: argparse.Namespace) -> int:
     report = delta_census(t, max_nodes=args.max_nodes,
                           timeout_secs=args.timeout_secs)
     _emit_report(report, args)
-    print(f"elapsed {report.elapsed:.3f}s, nodes {report.node_count}", file=sys.stderr)
     return EXIT_OK
 
 

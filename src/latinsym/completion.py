@@ -14,8 +14,13 @@ census and the bases ask no question per square; both are read off the ZDD
 of all full covers.  The census counts by size its down-closure, which holds
 exactly the completable squares; a basis is its projection onto the orbits
 inside a shape, which holds exactly the shape's restrictions of the full
-squares.  An orbit subset is carried as one packed integer, the OR of its
-orbits' ValidOrbitSet.masks, which is also the cover search's memo key.
+squares.  Squares and shapes are read as sets of valid orbits: an
+invariant square is a union of whole orbits, each valid since its cells lie
+in a partial Latin square, so its orbits are those whose least triple
+(TripleOrbit.representative) it holds; an orbit lies inside an invariant
+shape exactly when its least triple's pair in the shape's view does.  An
+orbit set goes to orbit_enum as the OR of its orbits' ValidOrbitSet.masks,
+whose layout only orbit_enum knows.
 """
 
 from __future__ import annotations
@@ -23,14 +28,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Optional
 
+from .budget import _Budget
 from .pls_core import Isotopism, PartialLatinSquare, is_autotopism
 from .orbit_enum import (
     CensusReport,
     CoverCounter,
     ValidOrbitSet,
-    _Budget,
     _full_zdd,
     _levels,
     build_valid_orbits,
@@ -69,61 +74,40 @@ class ShapeSet:
 
 
 # ----------------------------------------------------------------------
-# Orbit bookkeeping shared by the searches
-# ----------------------------------------------------------------------
-
-def _orbit_indices_of(ovs: ValidOrbitSet, P: PartialLatinSquare) -> list[int]:
-    """The indices of the valid orbits making up an invariant square."""
-    cell_to_orbit = {
-        cell: i for i, o in enumerate(ovs.orbits) for cell in o.triples
-    }
-    indices = set()
-    for cell in P.cells:
-        i = cell_to_orbit.get(cell)
-        if i is None:
-            raise ValueError(
-                f"cell {cell} lies on an orbit that can never occur in an "
-                "invariant square; is the square really invariant?"
-            )
-        indices.add(i)
-    for i in indices:
-        if not set(ovs.orbits[i].triples) <= P.cells:
-            raise ValueError("square is not a union of whole orbits")
-    return sorted(indices)
-
-
-def _state_of(ovs: ValidOrbitSet, indices: Iterable[int]) -> int:
-    """The packed cover state of a set of orbits."""
-    key = 0
-    for i in indices:
-        key |= ovs.masks[i]
-    return key
-
-
-# ----------------------------------------------------------------------
 # Completability of one square
 # ----------------------------------------------------------------------
+
+def _invariant_state(t: Isotopism, P: PartialLatinSquare
+                     ) -> tuple[ValidOrbitSet, int]:
+    """The valid orbits of t and the packed cover state of P's orbits.
+
+    An invariant square is a union of whole orbits, each valid because its
+    cells lie in a partial Latin square, so its orbits are those whose
+    least triple it holds."""
+    if not is_autotopism(t, P):
+        raise ValueError("the square is not invariant under the isotopism")
+    ovs = build_valid_orbits(t)
+    key = 0
+    for orbit, mask in zip(ovs.orbits, ovs.masks):
+        if orbit.representative in P.cells:
+            key |= mask
+    return ovs, key
+
 
 def count_completions(t: Isotopism, P: PartialLatinSquare, *,
                       max_nodes: Optional[int] = None,
                       timeout_secs: Optional[float] = None) -> int:
     """Number of invariant full squares containing P (which must be invariant)."""
-    if not is_autotopism(t, P):
-        raise ValueError("the square is not invariant under the isotopism")
-    ovs = build_valid_orbits(t)
-    return _levels(ovs, _state_of(ovs, _orbit_indices_of(ovs, P)),
-                   _Budget(max_nodes, timeout_secs))
+    ovs, key = _invariant_state(t, P)
+    return _levels(ovs, key, _Budget(max_nodes, timeout_secs))
 
 
 def is_theta_completable(t: Isotopism, P: PartialLatinSquare, *,
                          max_nodes: Optional[int] = None,
                          timeout_secs: Optional[float] = None) -> bool:
     """Early-exit version of count_completions > 0."""
-    if not is_autotopism(t, P):
-        raise ValueError("the square is not invariant under the isotopism")
-    ovs = build_valid_orbits(t)
-    counter = CoverCounter(ovs, _Budget(max_nodes, timeout_secs))
-    return counter.covers(_state_of(ovs, _orbit_indices_of(ovs, P)))
+    ovs, key = _invariant_state(t, P)
+    return CoverCounter(ovs, _Budget(max_nodes, timeout_secs)).covers(key)
 
 
 def is_completable(P: PartialLatinSquare, *,
@@ -152,7 +136,7 @@ def completability_census(t: Isotopism, *, max_nodes: Optional[int] = None,
     """
     started = time.monotonic()
     budget = _Budget(max_nodes, timeout_secs)
-    zdd, root = _full_zdd(build_valid_orbits(t), budget)
+    zdd, root, _ = _full_zdd(build_valid_orbits(t), budget)
     per_size = zdd.size_counts(zdd.down_closure(root))
     return CensusReport(
         structure=t.structure(),
@@ -175,21 +159,19 @@ def count_latin_squares(n: int) -> int:
     return delta_full(Isotopism.identity(n))
 
 
-def _shape_mask(n: int, pairs: frozenset) -> int:
-    mask = 0
-    for (a, b) in pairs:
+# The two coordinates of a triple (r, c, s) that each view pairs
+_VIEW = {"RC": (0, 1), "RS": (0, 2), "CS": (1, 2)}
+
+
+def _check_shape(t: Isotopism, shape: ShapeSet) -> None:
+    """Reject a shape with a pair out of range, then one that is not
+    invariant under the two permutations of its view."""
+    n = t.degree
+    for (a, b) in shape.pairs:
         if not (1 <= a <= n and 1 <= b <= n):
             raise ValueError(f"pair {(a, b)} out of range for order {n}")
-        mask |= 1 << ((a - 1) * n + (b - 1))
-    return mask
-
-
-def _validate_shape_invariance(t: Isotopism, shape: ShapeSet) -> None:
-    first, second = {
-        "RC": (t.alpha, t.beta),
-        "RS": (t.alpha, t.gamma),
-        "CS": (t.beta, t.gamma),
-    }[shape.mode]
+    i, j = _VIEW[shape.mode]
+    first, second = t.components[i], t.components[j]
     for (a, b) in shape.pairs:
         if (first(a), second(b)) not in shape.pairs:
             raise ValueError(
@@ -204,32 +186,32 @@ def basis_from_shape(t: Isotopism, shape: ShapeSet, *,
     view) are exactly the given set, sorted by cells.
 
     The shape is invariant under the two permutations of its view, so each
-    valid orbit lies wholly inside or outside it, and an invariant full
-    square restricts to the shape as its set of inside orbits.  The family
-    is that projection of the ZDD of full covers, so it partitions the
-    invariant full squares; each member is counted by the DP's full count,
-    and the counts are asserted to sum to the full count."""
-    n = t.degree
-    view = ("RC", "RS", "CS").index(shape.mode) * n * n
-    target = _shape_mask(n, shape.pairs) << view
-    _validate_shape_invariance(t, shape)
+    valid orbit lies wholly inside or outside it, as its least triple does,
+    and an invariant full square restricts to the shape as its set of inside
+    orbits.  The family is that projection of the ZDD of full covers, so it
+    partitions the invariant full squares; each member is counted by the
+    DP's full count, and the counts are asserted to sum to the full count."""
+    _check_shape(t, shape)
     ovs = build_valid_orbits(t)
     budget = _Budget(max_nodes, timeout_secs)
-    zdd, root = _full_zdd(ovs, budget)
+    zdd, root, full = _full_zdd(ovs, budget)
     if not root:
         raise ValueError("the isotopism admits no invariant full square")
-    inside = [bool(mask & target) for mask in ovs.masks]
-    cells_of = [frozenset(o.triples) for o in ovs.orbits]
+    i, j = _VIEW[shape.mode]
+    inside = [(o.representative[i], o.representative[j]) in shape.pairs
+              for o in ovs.orbits]
     # Members come as lists of orbit indices in lexicographic order.  Every
     # triple of an orbit lies at or after its least triple, by which the
     # orbits are numbered, so this is also the order of their sorted cells.
     elements, counts = [], []
     for member in zdd.members(zdd.project(root, inside)):
-        cells = frozenset().union(*(cells_of[i] for i in member))
-        elements.append(PartialLatinSquare(n, cells))
-        counts.append(_levels(ovs, _state_of(ovs, member), budget))
+        cells, key = set(), 0
+        for v in member:
+            cells.update(ovs.orbits[v].triples)
+            key |= ovs.masks[v]
+        elements.append(PartialLatinSquare(t.degree, frozenset(cells)))
+        counts.append(_levels(ovs, key, budget))
     total = sum(counts)
-    full = _levels(ovs, 0, budget)
     if total != full:
         raise AssertionError(
             f"basis counts sum to {total}, but there are {full} invariant "

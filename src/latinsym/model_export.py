@@ -71,6 +71,18 @@ def _triples(n: int):
     return product(range(1, n + 1), repeat=3)
 
 
+def _at_most_one_rows(n: int):
+    """(label, triples) of each at-most-one row, the cs rows (a column and
+    a symbol, over the rows) first, then rs, then rc."""
+    points = range(1, n + 1)
+    for c, s in product(points, repeat=2):
+        yield f"cs_{c}_{s}", [(r, c, s) for r in points]
+    for r, s in product(points, repeat=2):
+        yield f"rs_{r}_{s}", [(r, c, s) for c in points]
+    for r, c in product(points, repeat=2):
+        yield f"rc_{r}_{c}", [(r, c, s) for s in points]
+
+
 # ----------------------------------------------------------------------
 # LP text
 # ----------------------------------------------------------------------
@@ -124,15 +136,9 @@ def export_ip(model: WeightedModel, *, raw_symmetry: bool = False) -> str:
     out += _wrapped(" obj: ", _weight_terms(model), "")
     out.append("Subject To")
 
-    for c, s in product(range(1, n + 1), repeat=2):
-        terms = [variable_name(r, c, s) for r in range(1, n + 1)]
-        out += _wrapped(f" cs_{c}_{s}: ", _join_plain(terms), " <= 1")
-    for r, s in product(range(1, n + 1), repeat=2):
-        terms = [variable_name(r, c, s) for c in range(1, n + 1)]
-        out += _wrapped(f" rs_{r}_{s}: ", _join_plain(terms), " <= 1")
-    for r, c in product(range(1, n + 1), repeat=2):
-        terms = [variable_name(r, c, s) for s in range(1, n + 1)]
-        out += _wrapped(f" rc_{r}_{c}: ", _join_plain(terms), " <= 1")
+    for label, triples in _at_most_one_rows(n):
+        terms = [variable_name(*triple) for triple in triples]
+        out += _wrapped(f" {label}: ", _join_plain(terms), " <= 1")
 
     if raw_symmetry:
         for triple in _triples(n):
@@ -187,24 +193,8 @@ def export_ideal(model: WeightedModel, *, skip_zero_generators: bool = False) ->
     if m is None:
         raise ValueError("the ideal form needs a target size")
     lines: list[str] = []
-
-    def sum_over(fixed: str, a: int, b: int) -> str:
-        if fixed == "r":
-            names = [ideal_variable(r, a, b) for r in range(1, n + 1)]
-        elif fixed == "c":
-            names = [ideal_variable(a, c, b) for c in range(1, n + 1)]
-        else:
-            names = [ideal_variable(a, b, s) for s in range(1, n + 1)]
-        return "+".join(names)
-
-    for c, s in product(range(1, n + 1), repeat=2):
-        inner = sum_over("r", c, s)
-        lines.append(f"({inner})*(1-{inner.replace('+', '-')})")
-    for r, s in product(range(1, n + 1), repeat=2):
-        inner = sum_over("c", r, s)
-        lines.append(f"({inner})*(1-{inner.replace('+', '-')})")
-    for r, c in product(range(1, n + 1), repeat=2):
-        inner = sum_over("s", r, c)
+    for _, triples in _at_most_one_rows(n):
+        inner = "+".join(ideal_variable(*triple) for triple in triples)
         lines.append(f"({inner})*(1-{inner.replace('+', '-')})")
 
     for triple in _triples(n):

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import filterfalse
 from math import factorial, gcd, lcm, prod
 from typing import Iterator, NamedTuple, Optional
@@ -57,6 +58,7 @@ from .budget import (  # the searches' errors, importable from here too
 )
 from .perm_algebra import (
     IsotopismStructure,
+    cycle_structure,
     is_autotopism_structure,
     lcm_triple_set,
 )
@@ -668,8 +670,9 @@ class _Zdd:
         return _size_counts(poly[root], width)
 
 
-def _full_zdd(ovs: ValidOrbitSet, budget: _Budget) -> tuple[_Zdd, int]:
-    """The family of full covers as a ZDD, and its root.
+def _full_zdd(ovs: ValidOrbitSet, budget: _Budget) -> tuple[_Zdd, int, int]:
+    """The family of full covers as a ZDD, its root, and the number of full
+    covers, which the DP counts on the way.
 
     Variable v is valid orbit v: triple_orbits lists the orbits by least
     triple, so _orbit_groups holds 0..V-1 in cell order, as the variables
@@ -690,7 +693,7 @@ def _full_zdd(ovs: ValidOrbitSet, budget: _Budget) -> tuple[_Zdd, int]:
     room = (_MAX_LEVEL_BYTES - kept * _STATE_BYTES) // _ZDD_ENTRY_BYTES
     zdd = _Zdd(ovs.lengths, width, budget, room)
     if not found:  # the DP stopped at an empty level; the trail is cut short
-        return zdd, 0
+        return zdd, 0, 0
     node = zdd.node
     nodes = {0: 1}
     for p in range(len(trail) - 1, -1, -1):
@@ -710,7 +713,7 @@ def _full_zdd(ovs: ValidOrbitSet, budget: _Budget) -> tuple[_Zdd, int]:
             if got:
                 here[key] = got
         nodes = here
-    return zdd, nodes.get(0, 0)
+    return zdd, nodes.get(0, 0), found
 
 
 # ----------------------------------------------------------------------
@@ -767,26 +770,44 @@ class CoverCounter:
         return best
 
     def covers(self, key: int) -> bool:
-        """Whether some full cover extends the packed state key."""
-        if key == self.full:
-            return True
-        memo = self._can_memo
-        hit = memo.get(key)
+        """Whether some full cover extends the packed state key.
+
+        A depth-first search on an explicit stack of (state, candidates
+        left), so the depth, up to one level per orbit placed, is not
+        bounded by the interpreter's recursion limit."""
+        memo, full, spend = self._can_memo, self.full, self.budget.spend
+        hit = True if key == full else memo.get(key)
         if hit is not None:
             return hit
-        self.budget.spend()
-        result = False
-        for mask in self._candidates(key):
-            if self.covers(key | mask):
-                result = True
-                break
+        spend()
+        stack = [(key, iter(self._candidates(key)))]
+        while stack:
+            key, candidates = stack[-1]
+            for mask in candidates:
+                child = key | mask
+                hit = True if child == full else memo.get(child)
+                if hit is None:
+                    spend()
+                    stack.append((child, iter(self._candidates(child))))
+                    break
+                if hit:
+                    # a cover below a state decides it, innermost first
+                    for key, _ in reversed(stack):
+                        self._remember(key, True)
+                    return True
+            else:
+                self._remember(key, False)
+                stack.pop()
+        return False
+
+    def _remember(self, key: int, result: bool) -> None:
+        memo = self._can_memo
         # checked on insert: the memo grows as the search returns
         if len(memo) >= self.max_memo:
             raise StateBudgetExceededError(
                 f"cover memo holds {len(memo)} entries, the ceiling of this search"
             )
         memo[key] = result
-        return result
 
     def count_from(self, rc: int, rs: int, cs: int) -> int:
         """Number of full covers extending the state of three mask families."""
@@ -883,7 +904,12 @@ def delta_isotopism_class(t: Isotopism, P: PartialLatinSquare) -> int:
         return 0
     z = t.structure()
     group = autotopism_group(P)
-    hits = _centralizer_order(z) * sum(1 for a in group if a.structure() == z)
+    # the components repeat: the 13,824 autotopisms of one cell at order 5
+    # have 24 distinct alphas, so each cycle structure is computed once
+    shape = lru_cache(maxsize=None)(cycle_structure)
+    hits = _centralizer_order(z) * sum(
+        1 for a in group
+        if (shape(a.alpha), shape(a.beta), shape(a.gamma)) == z.components)
     if hits % len(group):
         raise AssertionError("class slice not divisible by the autotopism group order")
     return hits // len(group)

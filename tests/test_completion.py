@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import csv
 import gc
+import inspect
 import random
 import re
+import sys
 import time
 import weakref
 from collections import Counter
@@ -308,6 +310,19 @@ def test_cover_memo_ceiling(monkeypatch):
         is_completable(P)
     assert int(re.search(r"holds (\d+)", str(exc.value)).group(1)) <= 20
     assert is_completable(PartialLatinSquare(3, frozenset()))
+
+
+def test_cover_search_does_not_recurse():
+    # deciding this square places one orbit per search level, 132 in all,
+    # with room for 60 frames above the test
+    n = 12
+    P = PartialLatinSquare(n, frozenset((1, c, c) for c in range(1, n + 1)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        assert is_completable(P)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_zdd_ceiling(monkeypatch):
