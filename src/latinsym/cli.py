@@ -21,6 +21,7 @@ import argparse
 import csv
 import json
 import re
+import resource
 import sys
 import time
 from importlib import resources
@@ -111,6 +112,7 @@ def cmd_structures(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ValueError("--n must be at least 1")
     check_parsed_order(args.n)
+    started = time.monotonic()
     deadline = deadline_after(args.timeout_secs)
     # every mode prints only once complete, so an abort leaves stdout empty
     if args.parastrophic:
@@ -126,6 +128,9 @@ def cmd_structures(args: argparse.Namespace) -> int:
         lines = ["{}: {}, {}".format(n, *count_structures_and_classes(n, deadline=deadline))
                  for n in range(1, args.n + 1)]
     print("\n".join(lines))
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    print(f"diagnostics: elapsed {time.monotonic() - started:.3f}s, "
+          f"peak_rss {peak_mb:.1f} MB", file=sys.stderr)
     return EXIT_OK
 
 

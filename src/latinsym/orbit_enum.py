@@ -468,29 +468,6 @@ def delta_census(t: Isotopism, *, max_size: Optional[int] = None,
     )
 
 
-def iter_invariant_squares(t: Isotopism, max_size: Optional[int] = None
-                           ) -> Iterator[frozenset]:
-    """Yield the cell sets of all non-empty invariant squares, depth-first
-    over the orbits in index order."""
-    ovs = build_valid_orbits(t)
-    cap = t.degree ** 2 if max_size is None else max_size
-    masks, lns = ovs.masks, ovs.lengths
-    cells = [frozenset(o.triples) for o in ovs.orbits]
-
-    def rec(start: int, key: int, size: int, acc: frozenset) -> Iterator[frozenset]:
-        for i in range(start, len(lns)):
-            if key & masks[i]:
-                continue
-            ns = size + lns[i]
-            if ns > cap:
-                continue
-            nxt = acc | cells[i]
-            yield nxt
-            yield from rec(i + 1, key | masks[i], ns, nxt)
-
-    yield from rec(0, 0, 0, frozenset())
-
-
 def delta_full(t: Isotopism, *, max_nodes: Optional[int] = None,
                timeout_secs: Optional[float] = None) -> int:
     """Number of full Latin squares invariant under t.

@@ -5,9 +5,10 @@ The admissibility test is purely arithmetic: a triple of cycle structures can
 belong to an autotopism of some non-empty partial Latin square exactly when
 some triple (i, j, k) of cycle lengths with all three counts positive has
 lcm(i, j) = lcm(i, k) = lcm(j, k) = lcm(i, j, k).  Everything in this module
-is built on that test: enumeration and fast counting of admissible structures,
-the minimal-part partition recursion, parastrophic (component-permutation)
-class counting, and explicit conjugator construction.
+is built on that test: the enumeration of admissible structures; their count
+and that of their parastrophic (component-permutation) classes, summed over
+pairs of partition supports with sets of partitions held as bitsets; the
+minimal-part partition recursion; and explicit conjugator construction.
 """
 
 from __future__ import annotations
@@ -477,6 +478,11 @@ def _support_mask(parts: Iterable[int]) -> int:
     return mask
 
 
+def _lengths(support: int) -> tuple[int, ...]:
+    """The lengths in a support mask, increasing."""
+    return tuple(k for k in range(1, support.bit_length() + 1) if support >> (k - 1) & 1)
+
+
 def is_autotopism_structure(z: IsotopismStructure) -> bool:
     """Whether some non-empty partial Latin square admits an autotopism with this structure."""
     n = z.degree
@@ -487,6 +493,19 @@ def is_autotopism_structure(z: IsotopismStructure) -> bool:
             if masks.get((i, j), 0) & sym_mask:
                 return True
     return False
+
+
+def _length_masks(n: int, rows: Iterable[int]) -> list[int]:
+    """K_A(j) for the row lengths A: entry j - 1 is the mask of symbol
+    lengths k with (i, j, k) admissible for some i in A."""
+    sym = _symbol_masks(n)
+    out = []
+    for j in range(1, n + 1):
+        acc = 0
+        for i in rows:
+            acc |= sym.get((i, j), 0)
+        out.append(acc)
+    return out
 
 
 def enumerate_autotopism_structures(n: int, *, deadline: Optional[float] = None
@@ -504,65 +523,19 @@ def enumerate_autotopism_structures(n: int, *, deadline: Optional[float] = None
     for parts in _partitions(n, n, deadline):
         structs.append(CycleStructure.from_parts(parts, n))
         supports.append(_support_mask(parts))
-    table = _pair_kmask_table(n, deadline)
+    lengths = [_lengths(sb) for sb in supports]
     out = []
-    for a, sa in enumerate(supports):
-        for b, sb in enumerate(supports):
+    for la, za in zip(lengths, structs):
+        ka = _length_masks(n, la)
+        for lb, zb in zip(lengths, structs):
             check_deadline(deadline)
-            kmask = table[(sa, sb)]
+            kmask = 0  # K(A, B), the admissible symbol lengths
+            for j in lb:
+                kmask |= ka[j - 1]
             if kmask:
-                out += [IsotopismStructure(structs[a], structs[b], sc)
-                        for sc, sk in zip(structs, supports) if sk & kmask]
+                out += [IsotopismStructure(za, zb, zc)
+                        for zc, sc in zip(structs, supports) if sc & kmask]
     return out
-
-
-@lru_cache(maxsize=None)
-def _support_weights(n: int) -> tuple[list[int], dict[int, int]]:
-    """Distinct partition-support masks of order n with their multiplicities."""
-    weights: dict[int, int] = {}
-    for p in partitions_desc(n):
-        m = _support_mask(p)
-        weights[m] = weights.get(m, 0) + 1
-    masks = sorted(weights)
-    return masks, weights
-
-
-_KMASK_TABLES: dict[int, dict[tuple[int, int], int]] = {}
-
-
-def _pair_kmask_table(n: int, deadline: Optional[float] = None
-                      ) -> dict[tuple[int, int], int]:
-    """K(A, B): admissible-symbol mask for each ordered pair of support masks.
-
-    Kept per order once complete; a build cut short by the deadline keeps
-    nothing."""
-    table = _KMASK_TABLES.get(n)
-    if table is not None:
-        return table
-    masks, _ = _support_weights(n)
-    sym = _symbol_masks(n)
-    lengths = list(range(1, n + 1))
-    # row_or[i][B] = union of symbol masks over j in B, for a fixed row length i
-    row_or: dict[tuple[int, int], int] = {}
-    for i in lengths:
-        check_deadline(deadline)
-        for b_mask in masks:
-            acc = 0
-            for j in lengths:
-                if b_mask & (1 << (j - 1)):
-                    acc |= sym.get((i, j), 0)
-            row_or[(i, b_mask)] = acc
-    table: dict[tuple[int, int], int] = {}
-    for a_mask in masks:
-        check_deadline(deadline)
-        for b_mask in masks:
-            acc = 0
-            for i in lengths:
-                if a_mask & (1 << (i - 1)):
-                    acc |= row_or[(i, b_mask)]
-            table[(a_mask, b_mask)] = acc
-    _KMASK_TABLES[n] = table
-    return table
 
 
 def count_autotopism_structures(n: int, *, deadline: Optional[float] = None) -> int:
@@ -582,34 +555,60 @@ def count_structures_and_classes(n: int, *, deadline: Optional[float] = None
     """count_autotopism_structures(n) and count_parastrophic_classes(n) in
     one pass.
 
-    Groups partitions by support set; admissibility of a triple depends only
-    on the three supports, so the structure count is a weighted sum over
-    support pairs of the number of symbol partitions meeting the
-    admissible-length mask.  The classes come from Burnside over the
-    component-permuting action of S_3: the identity fixes every admissible
-    structure, each transposition fixes those with the two swapped
-    components equal, and each 3-cycle fixes those with all three equal.
-    The admissibility test is symmetric under coordinate permutation, so one
-    transposition count serves for all three.  Past the time.monotonic()
-    instant deadline, TimeBudgetExceededError is raised.
+    Admissibility depends only on the three supports.  Each partition gets
+    one bit, the w_A partitions of support A on consecutive bits, so an int
+    is a set of partitions.  Rows of support A and columns of support B
+    make w_A * w_B times as many structures as there are partitions whose
+    support meets K(A, B), the union of K_A(j) over j in B.  The classes
+    come from Burnside over S_3 permuting the components: the identity
+    fixes every admissible structure, a transposition those with the two
+    swapped components equal, a 3-cycle those with all three equal; the
+    test is symmetric, so the term B = A serves all three transpositions.
+    Past the time.monotonic() instant deadline, also while the partitions
+    are listed, TimeBudgetExceededError is raised.
     """
-    masks, weights = _support_weights(n)
-    table = _pair_kmask_table(n, deadline)
-    hits: dict[int, int] = {}  # kmask -> the partitions whose support meets it
+    if n < 1:
+        raise ValueError("n must be positive")
+    weights: dict[int, int] = {}
+    for parts in _partitions(n, n, deadline):
+        mask = _support_mask(parts)
+        weights[mask] = weights.get(mask, 0) + 1
+    groups = [(mask, w, _lengths(mask)) for mask, w in weights.items()]
+    having = [0] * n  # having[k - 1]: the partitions with a part k
+    offset = 0
+    for _, w, ls in groups:
+        for k in ls:
+            having[k - 1] |= ((1 << w) - 1) << offset
+        offset += w
+    meeting: dict[int, int] = {}
 
-    def hit(kmask: int) -> int:
-        if kmask not in hits:
-            hits[kmask] = sum(w for m, w in weights.items() if m & kmask)
-        return hits[kmask]
+    def meets(kmask: int) -> int:
+        """The partitions whose support meets kmask."""
+        if kmask not in meeting:
+            hit = 0
+            for k in _lengths(kmask):
+                hit |= having[k - 1]
+            meeting[kmask] = hit
+        return meeting[kmask]
 
-    full = 0
-    for a_mask in masks:
+    full = two_equal = all_equal = 0
+    for a_mask, wa, la in groups:
         check_deadline(deadline)
-        wa = weights[a_mask]
-        for b_mask in masks:
-            full += wa * weights[b_mask] * hit(table[(a_mask, b_mask)])
-    two_equal = sum(w * hit(table[(m, m)]) for m, w in weights.items())
-    all_equal = sum(w for m, w in weights.items() if m & table[(m, m)])
+        ka = _length_masks(n, la)
+        va = [meets(kmask) for kmask in ka]
+        row = 0
+        for _, wb, lb in groups:
+            hit = 0
+            for j in lb:
+                hit |= va[j - 1]
+            row += wb * hit.bit_count()
+        full += wa * row
+        kmask = 0  # K(A, A)
+        for j in la:
+            kmask |= ka[j - 1]
+        two_equal += wa * meets(kmask).bit_count()
+        if a_mask & kmask:
+            all_equal += wa
     numerator = full + 3 * two_equal + 2 * all_equal
     if numerator % 6:
         raise AssertionError("Burnside sum not divisible by the group order")

@@ -3,9 +3,10 @@
 Everything in here trades speed for obviousness: direct definitions, no
 bitmasks, no caching beyond memoizing whole result sets and each square's
 canonical form.  Test modules check the fast library code against these on
-small orders.  The three exceptions are walks over the library's valid-orbit
+small orders.  The four exceptions are walks over the library's valid-orbit
 masks, kept to check the DP and the ZDD on orders where walking is
-affordable: census_by_walker checks the census DP; completability_by_walker,
+affordable: iter_invariant_squares lists the invariant squares themselves;
+census_by_walker checks the census DP; completability_by_walker,
 which asks the library's cover search about every square it visits, checks
 the completability census; and basis_by_shape_walk, which counts each square
 that fills a shape with count_completions, checks the bases.
@@ -80,6 +81,40 @@ def brute_class_count(structs) -> int:
         for pi in permutations(range(3)):
             seen.add((z[pi[0]], z[pi[1]], z[pi[2]]))
     return classes
+
+
+def structures_and_classes_by_pair_table(n: int) -> tuple[int, int]:
+    """(admissible structures, parastrophic classes) of order n through a
+    table over ordered pairs of supports.
+
+    Partitions are grouped by support; K(A, B) is the set of symbol lengths
+    admissible with some row length in A and column length in B, and the
+    structures with supports A, B are w_A * w_B times the partitions whose
+    support meets K(A, B).  The classes come from Burnside over S_3 with the
+    diagonal terms K(A, A)."""
+    weights = Counter(frozenset(p) for p in brute_partitions(n))
+    lengths = range(1, n + 1)
+    k_of = {(i, j): frozenset(k for k in lengths if brute_admissible_triple(i, j, k))
+            for i in lengths for j in lengths}
+    row = {(i, b): frozenset().union(*(k_of[i, j] for j in b))
+           for i in lengths for b in weights}
+    hits: dict = {}
+
+    def hit(ks: frozenset) -> int:
+        if ks not in hits:
+            hits[ks] = sum(w for c, w in weights.items() if c & ks)
+        return hits[ks]
+
+    def table(a, b) -> frozenset:
+        return frozenset().union(*(row[i, b] for i in a))
+
+    full = sum(wa * wb * hit(table(a, b))
+               for a, wa in weights.items() for b, wb in weights.items())
+    two_equal = sum(w * hit(table(a, a)) for a, w in weights.items())
+    all_equal = sum(w for a, w in weights.items() if a & table(a, a))
+    numerator = full + 3 * two_equal + 2 * all_equal
+    assert numerator % 6 == 0
+    return full, numerator // 6
 
 
 # ------------------------------------------------------- partial Latin squares
@@ -241,6 +276,30 @@ def census_by_walker(t, max_size=None) -> dict[int, int]:
 
     walk(0, 0, 0, 0, 0)
     return {s: c for s, c in enumerate(per_size) if c}
+
+
+def iter_invariant_squares(t, max_size=None):
+    """Yield the cell sets of all non-empty invariant squares of the
+    isotopism t, depth-first over the library's valid orbits in index order."""
+    from latinsym.orbit_enum import build_valid_orbits
+
+    ovs = build_valid_orbits(t)
+    cap = t.degree ** 2 if max_size is None else max_size
+    masks, lns = ovs.masks, ovs.lengths
+    cells = [frozenset(o.triples) for o in ovs.orbits]
+
+    def rec(start: int, key: int, size: int, acc: frozenset):
+        for i in range(start, len(lns)):
+            if key & masks[i]:
+                continue
+            ns = size + lns[i]
+            if ns > cap:
+                continue
+            nxt = acc | cells[i]
+            yield nxt
+            yield from rec(i + 1, key | masks[i], ns, nxt)
+
+    yield from rec(0, 0, 0, frozenset())
 
 
 # ------------------------------------------------------- completability

@@ -14,6 +14,7 @@ from collections import Counter
 from importlib import resources
 
 import oracles
+from oracles import iter_invariant_squares
 
 from latinsym.cli import main as cli_main
 from latinsym.completion import (
@@ -35,7 +36,6 @@ from latinsym.orbit_enum import (
     delta_full,
     delta_min_size,
     delta_size_one,
-    iter_invariant_squares,
     size_bounds,
 )
 from latinsym.perm_algebra import (

@@ -7,6 +7,7 @@ console script sees.
 
 import io
 import json
+import re
 import sys
 import time
 from collections import Counter
@@ -55,6 +56,14 @@ def test_structures_table_matches_reference_file(capsys):
     assert rc == 0
     reference = (resources.files("latinsym") / "data" / "table1.csv").read_text()
     assert out.strip() == reference.strip()
+
+
+def test_structures_diagnostics_on_stderr(capsys):
+    rc, out, err = run(capsys, ["structures", "--n", "17", "--table"])
+    assert rc == 0
+    reference = (resources.files("latinsym") / "data" / "table1.csv").read_text()
+    assert out == reference
+    assert re.fullmatch(r"diagnostics: elapsed \d+\.\d{3}s, peak_rss \d+\.\d MB\n", err)
 
 
 def test_structures_parastrophic_representatives(capsys):

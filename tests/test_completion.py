@@ -30,7 +30,6 @@ from latinsym.orbit_enum import (
     build_valid_orbits,
     delta_census,
     delta_full,
-    iter_invariant_squares,
 )
 from latinsym import orbit_enum
 from latinsym.completion import (
@@ -46,6 +45,7 @@ from latinsym.completion import (
 )
 
 import oracles
+from oracles import iter_invariant_squares
 from test_orbit_enum import random_conjugate
 
 

@@ -17,7 +17,7 @@ import pytest
 
 from latinsym.perm_algebra import IsotopismStructure
 from latinsym.pls_core import Isotopism, PartialLatinSquare, canonical_isotopism
-from latinsym.orbit_enum import delta_census, delta_full, iter_invariant_squares
+from latinsym.orbit_enum import delta_census, delta_full
 from latinsym.completion import is_theta_completable
 from latinsym.model_export import (
     WeightedModel,
@@ -27,6 +27,8 @@ from latinsym.model_export import (
     export_ip,
     variable_name,
 )
+
+from oracles import iter_invariant_squares
 
 
 def rep_of(spec: str) -> Isotopism:

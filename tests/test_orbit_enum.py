@@ -33,11 +33,11 @@ from latinsym.orbit_enum import (
     delta_isotopism_class,
     delta_min_size,
     delta_size_one,
-    iter_invariant_squares,
     size_bounds,
 )
 
 import oracles
+from oracles import iter_invariant_squares
 
 
 EXAMPLE = IsotopismStructure.parse("6,3.2.1,4.2")

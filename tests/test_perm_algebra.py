@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 import tracemalloc
 from collections import namedtuple
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latinsym.budget import TimeBudgetExceededError, deadline_after
 from latinsym.perm_algebra import (
     MAX_PARSED_ORDER,
     CycleStructure,
@@ -19,6 +21,7 @@ from latinsym.perm_algebra import (
     conjugating_permutation,
     count_autotopism_structures,
     count_parastrophic_classes,
+    count_structures_and_classes,
     cs_nm_count,
     cycle_structure,
     enumerate_autotopism_structures,
@@ -309,7 +312,26 @@ def test_enumeration_matches_brute(n):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_fast_count_matches_enumeration(n):
-    assert count_autotopism_structures(n) == len(enumerate_autotopism_structures(n))
+    # the enumeration shares _symbol_masks with the count; the brute list
+    # does not
+    count = count_autotopism_structures(n)
+    assert count == len(enumerate_autotopism_structures(n))
+    if n <= 7:
+        assert count == len(oracles.brute_structures(n))
+
+
+@pytest.mark.parametrize("n", [18, 19])
+def test_counts_match_pair_table_oracle(n):
+    # past the golden table, which stops at 17
+    assert count_structures_and_classes(n) == oracles.structures_and_classes_by_pair_table(n)
+
+
+def test_count_checks_deadline_while_listing_partitions():
+    # order 64 has 1,741,630 partitions, far more than half a second's worth
+    started = time.monotonic()
+    with pytest.raises(TimeBudgetExceededError):
+        count_structures_and_classes(64, deadline=deadline_after(0.5))
+    assert time.monotonic() - started < 2
 
 
 @pytest.mark.parametrize("n", sorted(STRUCTURE_COUNTS))
