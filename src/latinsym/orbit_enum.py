@@ -111,10 +111,6 @@ class ValidOrbitSet:
     fixed_cols: tuple[int, ...]  # the fixed points of beta
     fixed_syms: tuple[int, ...]  # the fixed points of gamma
 
-    def pack(self, rc: int, rs: int, cs: int) -> int:
-        """The packed state of three mask families."""
-        return _pack(self.n * self.n, rc, rs, cs)
-
     def conflict(self, a: int, b: int) -> bool:
         """Whether orbits a and b cannot coexist in one invariant square."""
         return bool(self.masks[a] & self.masks[b])
@@ -788,11 +784,7 @@ class CoverCounter:
 
     def count_from(self, rc: int, rs: int, cs: int) -> int:
         """Number of full covers extending the state of three mask families."""
-        return _levels(self.ovs, self.ovs.pack(rc, rs, cs), self.budget)
-
-    def can_cover(self, rc: int, rs: int, cs: int) -> bool:
-        """covers() of the state given as its three mask families."""
-        return self.covers(self.ovs.pack(rc, rs, cs))
+        return _levels(self.ovs, _pack(self.ovs.n * self.ovs.n, rc, rs, cs), self.budget)
 
 
 # ----------------------------------------------------------------------

@@ -5,10 +5,11 @@ The admissibility test is purely arithmetic: a triple of cycle structures can
 belong to an autotopism of some non-empty partial Latin square exactly when
 some triple (i, j, k) of cycle lengths with all three counts positive has
 lcm(i, j) = lcm(i, k) = lcm(j, k) = lcm(i, j, k).  Everything in this module
-is built on that test: the enumeration of admissible structures; their count
-and that of their parastrophic (component-permutation) classes, summed over
-pairs of partition supports with sets of partitions held as bitsets; the
-minimal-part partition recursion; and explicit conjugator construction.
+is built on that test: the enumeration of admissible structures, all of them
+or one per parastrophic (component-permutation) class; their count and that
+of their classes, summed over pairs of partition supports with sets of
+partitions held as bitsets; the minimal-part partition recursion; and
+explicit conjugator construction.
 """
 
 from __future__ import annotations
@@ -239,16 +240,6 @@ class CycleStructure:
         for j in range(self.degree, 0, -1):
             out.extend([j] * self.counts[j - 1])
         return tuple(out)
-
-    def num_cycles(self) -> int:
-        return sum(self.counts)
-
-    def min_part(self) -> int:
-        """The smallest cycle length present."""
-        for j, c in enumerate(self.counts, start=1):
-            if c > 0:
-                return j
-        raise ValueError("degree-0 structure has no parts")
 
     @classmethod
     def from_parts(cls, parts: Sequence[int], degree: Optional[int] = None) -> "CycleStructure":
@@ -517,6 +508,27 @@ def enumerate_autotopism_structures(n: int, *, deadline: Optional[float] = None
     the contract (the reference CSVs and the CLI listings rely on it).  Past
     the time.monotonic() instant deadline, TimeBudgetExceededError is raised.
     """
+    return list(_admissible_structures(n, deadline, ascending=False))
+
+
+def parastrophic_representatives(n: int, *, deadline: Optional[float] = None
+                                 ) -> Iterator[IsotopismStructure]:
+    """One admissible structure of order n per parastrophic class: its
+    first member in the order of enumerate_autotopism_structures(n).
+
+    That order is lexicographic in the partition indices (a, b, c) of the
+    components, so the first member has a <= b <= c, and only those triples
+    are walked.  The structures are made as they are iterated, so a caller
+    that keeps only their text never holds them all.  The deadline is as for
+    enumerate_autotopism_structures.
+    """
+    return _admissible_structures(n, deadline, ascending=True)
+
+
+def _admissible_structures(n: int, deadline: Optional[float], ascending: bool
+                           ) -> Iterator[IsotopismStructure]:
+    """The admissible triples (a, b, c) of partition indices in lexicographic
+    order; all of them, or with ascending only those with a <= b <= c."""
     if n < 1:
         raise ValueError("n must be positive")
     structs, supports = [], []
@@ -524,18 +536,18 @@ def enumerate_autotopism_structures(n: int, *, deadline: Optional[float] = None
         structs.append(CycleStructure.from_parts(parts, n))
         supports.append(_support_mask(parts))
     lengths = [_lengths(sb) for sb in supports]
-    out = []
-    for la, za in zip(lengths, structs):
-        ka = _length_masks(n, la)
-        for lb, zb in zip(lengths, structs):
+    for a, za in enumerate(structs):
+        ka = _length_masks(n, lengths[a])
+        for b in range(a if ascending else 0, len(structs)):
             check_deadline(deadline)
             kmask = 0  # K(A, B), the admissible symbol lengths
-            for j in lb:
+            for j in lengths[b]:
                 kmask |= ka[j - 1]
             if kmask:
-                out += [IsotopismStructure(za, zb, zc)
-                        for zc, sc in zip(structs, supports) if sc & kmask]
-    return out
+                zb = structs[b]
+                yield from (IsotopismStructure(za, zb, structs[c])
+                            for c in range(b if ascending else 0, len(structs))
+                            if supports[c] & kmask)
 
 
 def count_autotopism_structures(n: int, *, deadline: Optional[float] = None) -> int:
@@ -615,26 +627,23 @@ def count_structures_and_classes(n: int, *, deadline: Optional[float] = None
     return full, numerator // 6
 
 
-_S3 = ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))
-
-
 def parastrophic_class_count(structures: Iterable[IsotopismStructure]) -> int:
     """Number of orbits of the given structures under component permutation.
 
-    The input must be closed under the S_3 action; a non-closed input is
-    rejected rather than silently completed.
+    Each orbit is counted at the member that parastrophic_representatives
+    would list, the one whose components' parts descend.  The input must be
+    closed under the S_3 action; a non-closed input is rejected rather than
+    silently completed.
     """
     pool = set(structures)
-    reps = set()
     for z in pool:
-        orbit = [z.permuted(pi) for pi in _S3]
-        for member in orbit:
+        for pi in ((2, 1, 3), (1, 3, 2)):  # these two transpositions generate S_3
+            member = z.permuted(pi)
             if member not in pool:
                 raise ValueError(
                     f"input not closed under component permutation: {member} missing"
                 )
-        reps.add(min(orbit, key=str))
-    return len(reps)
+    return sum(z.rows.parts() >= z.cols.parts() >= z.syms.parts() for z in pool)
 
 
 def lower_bound_structures(n: int) -> int:

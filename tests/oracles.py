@@ -83,6 +83,19 @@ def brute_class_count(structs) -> int:
     return classes
 
 
+def first_of_each_class(structs) -> list:
+    """The first member of each parastrophic class in the given order,
+    keyed by the sorted list of the class's six component permutations."""
+    seen: set = set()
+    out = []
+    for z in structs:
+        key = tuple(sorted(permutations(z)))
+        if key not in seen:
+            seen.add(key)
+            out.append(z)
+    return out
+
+
 def structures_and_classes_by_pair_table(n: int) -> tuple[int, int]:
     """(admissible structures, parastrophic classes) of order n through a
     table over ordered pairs of supports.

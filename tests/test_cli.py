@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from latinsym import cli
 from latinsym.cli import main
 from latinsym.perm_algebra import IsotopismStructure
 from latinsym.pls_core import canonical_isotopism
@@ -72,6 +73,16 @@ def test_structures_parastrophic_representatives(capsys):
     assert out.splitlines() == ["2,2,2", "2,2,1^2", "1^2,1^2,1^2"]
     rc, out, _ = run(capsys, ["structures", "--n", "3", "--parastrophic"])
     assert len(out.splitlines()) == 7
+
+
+def test_structures_parastrophic_lists_classes_without_every_structure(capsys):
+    # order 11 has 26,628 classes among 150,953 structures; only the
+    # representatives are built
+    started = time.monotonic()
+    rc, out, _ = run(capsys, ["structures", "--n", "11", "--parastrophic"])
+    assert rc == 0
+    assert len(out.splitlines()) == 26628
+    assert time.monotonic() - started < 3
 
 
 @pytest.mark.parametrize("mode", [[], ["--table"], ["--parastrophic"]])
@@ -386,9 +397,29 @@ def test_export_size_row_counted(capsys):
 # ----------------------------------------------------------------------
 
 def test_reproduce_classification_table(capsys):
-    rc, out, _ = run(capsys, ["reproduce", "--table", "1"])
+    rc, out, err = run(capsys, ["reproduce", "--table", "1"])
     assert rc == 0
     assert out == "all rows n <= 17 match (106 cells)\n"
+    assert re.fullmatch(r"diagnostics: elapsed \d+\.\d{3}s, peak_rss \d+\.\d MB\n", err)
+
+
+def test_reproduce_classification_table_reports_one_changed_cell(capsys, monkeypatch):
+    real = cli._reference_rows
+
+    def altered(name):
+        rows = real(name)
+        if name == "table1.csv":
+            row = next(r for r in rows if r[0] == "12")
+            row[rows[0].index("m3")] = str(int(row[rows[0].index("m3")]) + 1)
+        return rows
+
+    monkeypatch.setattr(cli, "_reference_rows", altered)
+    rc, out, _ = run(capsys, ["reproduce", "--table", "1"])
+    assert rc == 4
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("MISMATCH")] == \
+        ["MISMATCH n=12 m3: computed 4, reference 5"]
+    assert lines[-1] == "1 of 106 cells differ"
 
 
 def test_reproduce_spectrum_small_orders(capsys):

@@ -301,9 +301,8 @@ def test_cover_counter_packed_interface():
     # one orbit placed: the squares of order 4 with that fixed cell
     N = ovs.n * ovs.n
     rc, rs, cs = (ovs.masks[0] >> k * N & (1 << N) - 1 for k in range(3))
-    assert ovs.pack(rc, rs, cs) == ovs.masks[0]
     assert counter.count_from(rc, rs, cs) == 576 // 4
-    assert counter.can_cover(rc, rs, cs)
+    assert counter.covers(ovs.masks[0])
 
 
 def test_cover_counter_budget():

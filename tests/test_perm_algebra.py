@@ -29,6 +29,7 @@ from latinsym.perm_algebra import (
     lcm_triple_set,
     lower_bound_structures,
     parastrophic_class_count,
+    parastrophic_representatives,
     partitions_count,
     partitions_desc,
 )
@@ -351,6 +352,19 @@ def test_class_count_matches_brute(n):
         (z.rows.parts(), z.cols.parts(), z.syms.parts()) for z in structs
     )
     assert parastrophic_class_count(structs) == count_parastrophic_classes(n)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_representatives_match_dedupe_oracle(n):
+    # the first member of each class in the listing order, in that order
+    reps = list(parastrophic_representatives(n))
+    assert [(z.rows.parts(), z.cols.parts(), z.syms.parts()) for z in reps] == \
+        oracles.first_of_each_class(oracles.brute_structures(n))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_representatives_count_matches_burnside(n):
+    assert sum(1 for _ in parastrophic_representatives(n)) == count_parastrophic_classes(n)
 
 
 def test_class_count_rejects_non_closed_input():
