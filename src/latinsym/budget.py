@@ -41,8 +41,9 @@ def check_deadline(deadline: Optional[float]) -> None:
 class _Budget:
     """Node and wall-clock accounting for the searches.  A census or
     full-count node is one DP state expanded at one cell, a cover node one
-    decision-search state expanded; the completability census also charges
-    each ZDD node and memo entry it makes."""
+    decision-search state expanded; the completability census and the bases
+    also charge each full-count state read back for its live moves, and
+    each set of live states or branch of their walk expanded."""
 
     __slots__ = ("max_nodes", "deadline", "nodes", "_tick")
 

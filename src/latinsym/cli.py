@@ -11,8 +11,8 @@ diagnostics go to stderr so stdout stays byte-identical from run to run.
 The census counts by a frontier DP whose state is one packed integer of the
 three conflict masks; its node count is the number of DP states expanded.
 census --full-only and complete --count run the same DP with plain counts
-for values, and ccensus counts the down-closure of the ZDD of full covers
-that this count builds.
+for values, and ccensus keeps the live states of that count, those on some
+full cover, and counts by size the squares that some cover extends.
 """
 
 from __future__ import annotations
@@ -86,7 +86,11 @@ def _resolve_isotopism(args: argparse.Namespace) -> Isotopism:
 
 
 def _read_square(path: str) -> PartialLatinSquare:
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path) as fh:
+            text = fh.read()
     if text.lstrip().startswith("{"):
         return PartialLatinSquare.parse_json(text)
     return PartialLatinSquare.parse_text(text)

@@ -10,17 +10,16 @@ Counts of covers (count_completions, the basis member counts) come from the
 census module's frontier DP with plain counts; the yes/no question for
 one square (is_theta_completable) goes to the memoized cover search
 orbit_enum.CoverCounter, which stops at the first cover.  The completability
-census and the bases ask no question per square; both are read off the ZDD
-of all full covers.  The census counts by size its down-closure, which holds
-exactly the completable squares; a basis is its projection onto the orbits
-inside a shape, which holds exactly the shape's restrictions of the full
-squares.  Squares and shapes are read as sets of valid orbits: an
-invariant square is a union of whole orbits, each valid since its cells lie
-in a partial Latin square, so its orbits are those whose least triple
-(TripleOrbit.representative) it holds; an orbit lies inside an invariant
-shape exactly when its least triple's pair in the shape's view does.  An
-orbit set goes to orbit_enum as the OR of its orbits' ValidOrbitSet.masks,
-whose layout only orbit_enum knows.
+census and the bases ask no question per square; both walk the moves between
+the live states of the full count, those on some full cover.  The census
+counts by size the squares that some cover extends; a basis counts the
+covers holding each set of the orbits inside a shape.  Squares and shapes
+are read as sets of valid orbits: an invariant square is a union of whole
+orbits, each valid since its cells lie in a partial Latin square, so its
+orbits are those whose least triple (TripleOrbit.representative) it holds;
+an orbit lies inside an invariant shape exactly when its least triple's
+pair in the shape's view does.  An orbit set goes to orbit_enum as the OR
+of its orbits' ValidOrbitSet.masks, whose layout only orbit_enum knows.
 """
 
 from __future__ import annotations
@@ -36,8 +35,10 @@ from .orbit_enum import (
     CensusReport,
     CoverCounter,
     ValidOrbitSet,
-    _full_zdd,
+    _completable_counts,
+    _cover_steps,
     _levels,
+    _projected_covers,
     build_valid_orbits,
     delta_full,
 )
@@ -127,17 +128,18 @@ def completability_census(t: Isotopism, *, max_nodes: Optional[int] = None,
     """Count, for each size, the invariant squares that are t-completable.
 
     A square is t-completable exactly when its orbit set is a subset of the
-    orbit set of some invariant full square.  So the census is the size
-    count of the down-closure of the family of full covers, taken on their
-    ZDD.  The count is exact at every order.  node_count is the DP states,
-    ZDD nodes and memo entries made, which max_nodes bounds; budget
-    violations raise NodeBudgetExceededError / TimeBudgetExceededError, and
-    tables that would outgrow their memory ceiling StateBudgetExceededError.
+    orbit set of some invariant full square, so the census is the subset
+    construction over the live moves of the full count.  The count is exact
+    at every order.  node_count is the full-count states expanded and read
+    back plus the sets expanded, which max_nodes bounds; budget violations
+    raise NodeBudgetExceededError / TimeBudgetExceededError, and tables that
+    would outgrow their memory ceiling StateBudgetExceededError.
     """
     started = time.monotonic()
     budget = _Budget(max_nodes, timeout_secs)
-    zdd, root, _ = _full_zdd(build_valid_orbits(t), budget)
-    per_size = zdd.size_counts(zdd.down_closure(root))
+    ovs = build_valid_orbits(t)
+    _, steps = _cover_steps(ovs, budget)
+    per_size = _completable_counts(ovs, steps, budget) if steps else {}
     return CensusReport(
         structure=t.structure(),
         per_size=per_size,
@@ -188,14 +190,15 @@ def basis_from_shape(t: Isotopism, shape: ShapeSet, *,
     The shape is invariant under the two permutations of its view, so each
     valid orbit lies wholly inside or outside it, as its least triple does,
     and an invariant full square restricts to the shape as its set of inside
-    orbits.  The family is that projection of the ZDD of full covers, so it
-    partitions the invariant full squares; each member is counted by the
-    DP's full count, and the counts are asserted to sum to the full count."""
+    orbits.  The family is the sets of inside orbits that full covers hold,
+    walked on the live moves of the full count with the number of covers
+    holding each, so it partitions the invariant full squares; the counts
+    are asserted to sum to the full count."""
     _check_shape(t, shape)
     ovs = build_valid_orbits(t)
     budget = _Budget(max_nodes, timeout_secs)
-    zdd, root, full = _full_zdd(ovs, budget)
-    if not root:
+    full, steps = _cover_steps(ovs, budget)
+    if not full:
         raise ValueError("the isotopism admits no invariant full square")
     i, j = _VIEW[shape.mode]
     inside = [(o.representative[i], o.representative[j]) in shape.pairs
@@ -204,13 +207,11 @@ def basis_from_shape(t: Isotopism, shape: ShapeSet, *,
     # triple of an orbit lies at or after its least triple, by which the
     # orbits are numbered, so this is also the order of their sorted cells.
     elements, counts = [], []
-    for member in zdd.members(zdd.project(root, inside)):
-        cells, key = set(), 0
-        for v in member:
-            cells.update(ovs.orbits[v].triples)
-            key |= ovs.masks[v]
-        elements.append(PartialLatinSquare(t.degree, frozenset(cells)))
-        counts.append(_levels(ovs, key, budget))
+    for member, count in _projected_covers(steps, inside, budget):
+        # from a set: a frozenset grown from a generator keeps a larger table
+        cells = frozenset({c for v in member for c in ovs.orbits[v].triples})
+        elements.append(PartialLatinSquare(t.degree, cells))
+        counts.append(count)
     total = sum(counts)
     if total != full:
         raise AssertionError(

@@ -22,21 +22,22 @@ only in what they set up before the loop:
 - the census: a value is the size polynomial of the partial squares decided
   so far, and placing an orbit shifts it by the orbit's length;
 - the full count: a value is a plain count, no cell may be left blank, and
-  the state also keeps the bits of the cells ahead.  delta_full,
-  count_completions and the basis counts go through it; keeping its every
-  level gives the family of full covers as a ZDD over the valid orbits
-  (_full_zdd), whose down-closure is the completability census and whose
-  projection onto the orbits inside an invariant shape is that shape's basis.
+  the state also keeps the bits of the cells ahead.  delta_full and
+  count_completions go through it.  Read back from its kept levels, its live
+  states, those on some full cover, and their moves (_cover_steps) give the
+  completability census by the subset construction (_completable_counts)
+  and the bases by a depth-first walk (_projected_covers).
 
 At a row boundary that no valid orbit crosses, a state is a column-symbol
 mask only, and states that a relabelling of the fixed columns of beta and
 the fixed symbols of gamma maps onto each other have equally many fillings
 of each size ahead; such states are merged into one (_row_merge), unless the
 count starts from placed orbits, whose later rows break the symmetry, or
-keeps its levels for the ZDD, which needs every state apart.  The uncapped
-census of 1^4 then expands 6,283 states, where it expanded 366,614, and at
-the four boundaries of 1^5 the merge leaves 6, 290, 4,908 and 19,286 states
-of 1,546, 5,961, 109,905 and 600,410, so that census finishes.
+keeps its levels for the live moves, which need every state apart.  The
+uncapped census of 1^4 then expands 6,283 states, where it expanded
+366,614, and at the four boundaries of 1^5 the merge leaves 6, 290, 4,908
+and 19,286 states of 1,546, 5,961, 109,905 and 600,410, so that census
+finishes.
 CoverCounter, a memoized exact-cover search on the same packed states, only
 decides whether a cover exists, where its early exit beats a full DP pass.
 """
@@ -44,6 +45,7 @@ decides whether a cover exists, where its early exit beats a full DP pass.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import filterfalse
@@ -70,22 +72,27 @@ from .pls_core import (
     triple_orbits,
 )
 
-# Most bytes the DP level being built, the cover search's memo, or the ZDD
-# with the levels it keeps may take.  It bounds that table, not the process:
-# the level being read lives beside the one being built, so census --z
-# 2^3,2^3,2^3, which aborts at cell 16 with 1,001,625 states, peaks at
-# 434 MB.  A state costs about _STATE_BYTES of key and dict entry plus, in
-# the census, its size polynomial; the state ceiling is this divided by that
-# estimate: 1.86 million states for the largest census in the tables
-# (1^4,1^4,1^4 uncapped, whose largest level holds 4,284), 1.08 million for
-# an uncapped census at order 5 (1^5's largest level holds 600,410; the
-# process peaks at about 310 MB), and 3.36 million for plain-count values.  A
-# ZDD node or memo entry measured 90 to 100 bytes by tracemalloc and about
-# 112 of RSS (1^5 stops at 2.1 million entries and 255 MB); the margin covers
-# the size polynomials of the final count.
+# Most bytes the DP level being built, the cover search's memo, or the
+# completability census's tables may take.  In the census and the full count
+# it bounds that level, not the process: the level being read lives beside
+# the one being built, so census --z 2^3,2^3,2^3, which aborts at cell 16
+# with 1,001,625 states, peaks at 434 MB.  A state costs about _STATE_BYTES
+# of key and dict entry plus, in the census, its size polynomial; the state
+# ceiling is this divided by that estimate: 1.86 million states for the
+# largest census in the tables (1^4,1^4,1^4 uncapped, whose largest level
+# holds 4,284), 1.08 million for an uncapped census at order 5 (1^5's
+# largest level holds 600,410; the process peaks at about 310 MB), and 3.36
+# million for plain-count values.
 _MAX_LEVEL_BYTES = 320 << 20
 _STATE_BYTES = 100
-_ZDD_ENTRY_BYTES = 150
+# The completability census charges its live steps and both levels of sets
+# together, at costs tracemalloc measured on 2^2.1, 1^4 and 1^5: a live
+# state's list about 65 bytes, a move 64 and 32 more past 256; a set's dict
+# entry and int headers 88 to 112, beside the most digits its set and value
+# can take.  ccensus 1^5 then stops at cell 10 with 186,026 sets, at 224 MB.
+_LIVE_BYTES = 88
+_MOVE_BYTES = 96
+_SET_BYTES = 112
 
 
 # ----------------------------------------------------------------------
@@ -390,7 +397,8 @@ def _levels(ovs: ValidOrbitSet, pre: int, budget: _Budget,
     ceiling = _MAX_LEVEL_BYTES // (_STATE_BYTES + window.bit_length() // 8)
     spend = budget.spend
     kept = 0
-    # pre places orbits in later rows, and the ZDD needs every state apart
+    # pre places orbits in later rows, and _cover_steps recomputes the
+    # successors of each kept state, which a merge would relabel
     merge_at, canon = _row_merge(ovs) if not pre and trail is None else ((), None)
     level = {pre & ahead[0]: 1}
     for p in range(N):
@@ -476,217 +484,143 @@ def delta_full(t: Isotopism, *, max_nodes: Optional[int] = None,
 
 
 # ----------------------------------------------------------------------
-# The family of full covers as a ZDD
+# The live states of the full count, and two walks over them
 # ----------------------------------------------------------------------
 
-class _Zdd:
-    """A zero-suppressed decision diagram (Minato, DAC 1993; Knuth, TAOCP 4A
-    7.1.4) over variables 0..V-1, variable v standing for an orbit of
-    lengths[v] cells.
+def _cover_steps(ovs: ValidOrbitSet, budget: _Budget):
+    """(the number of full covers, steps): the moves between the live states
+    of the full count, those that some full cover passes through.
 
-    Node 0 is the empty family and node 1 the family of the empty set; node
-    i > 1 tests var[i], with lo[i] the members without it and hi[i] the
-    members with it, less it.  A node's children have lower ids and higher
-    variables.  Every node made and every memo entry is charged to the
-    budget and takes one unit of room; running out of room raises
-    StateBudgetExceededError.  Nothing here recurses.
-    """
-
-    __slots__ = ("lengths", "width", "var", "lo", "hi", "unique", "memo",
-                 "budget", "room")
-
-    def __init__(self, lengths: tuple[int, ...], width: int, budget: _Budget, room: int):
-        self.lengths = lengths
-        self.width = width  # digit width of the size polynomials
-        top = len(lengths)  # the terminals test no variable
-        self.var, self.lo, self.hi = [top, top], [0, 1], [0, 1]
-        self.unique: dict[int, int] = {}
-        self.memo: dict[int, int] = {}
-        self.budget = budget
-        self.room = room
-
-    def _charge(self) -> None:
-        self.budget.spend()
-        self.room -= 1
-        if self.room < 0:
-            raise StateBudgetExceededError(
-                f"ZDD holds {len(self.var)} nodes and {len(self.memo)} memo "
-                "entries, the ceiling of this census"
-            )
-
-    def node(self, v: int, lo: int, hi: int) -> int:
-        """The node testing v over lo and hi, shared if it exists."""
-        if not hi:
-            return lo
-        key = (v << 32 | lo) << 32 | hi
-        got = self.unique.get(key)
-        if got is None:
-            self._charge()
-            got = self.unique[key] = len(self.var)
-            self.var.append(v)
-            self.lo.append(lo)
-            self.hi.append(hi)
-        return got
-
-    def union(self, f: int, g: int) -> int:
-        """The node of the union of the families of f and g."""
-        if f == g or not g:
-            return f
-        if not f:
-            return g
-        if f > g:
-            f, g = g, f
-        memo = self.memo
-        got = memo.get(f << 32 | g)
-        if got is not None:
-            return got
-        var, lo, hi, node = self.var, self.lo, self.hi, self.node
-        # A pair (a, b) on the stack has 0 < a < b, and each pair is a
-        # sub-problem of the one below it with a higher least variable, so
-        # the stack holds at most V + 1 pairs.
-        stack = [(f, g)]
-        while stack:
-            a, b = stack[-1]
-            v, vb = var[a], var[b]
-            if v == vb:
-                x, y, u, w = lo[a], lo[b], hi[a], hi[b]
-            elif v < vb:
-                x, y, u, w = lo[a], b, hi[a], 0
-            else:
-                v, x, y, u, w = vb, a, lo[b], hi[b], 0
-            # low = union(x, y), high = union(u, w)
-            if x == y or not y:
-                low = x
-            elif not x:
-                low = y
-            else:
-                if x > y:
-                    x, y = y, x
-                low = memo.get(x << 32 | y)
-                if low is None:
-                    stack.append((x, y))
-                    continue
-            if u == w or not w:
-                high = u
-            elif not u:
-                high = w
-            else:
-                if u > w:
-                    u, w = w, u
-                high = memo.get(u << 32 | w)
-                if high is None:
-                    stack.append((u, w))
-                    continue
-            stack.pop()
-            got = memo[a << 32 | b] = node(v, low, high)
-            self._charge()
-        return got
-
-    def down_closure(self, root: int) -> int:
-        """The node of every subset of a member of root's family:
-        down(v, lo, hi) = node(v, union(down lo, down hi), down hi), taken
-        over the whole table in id order, children first."""
-        var, lo, hi = self.var, self.lo, self.hi
-        down = [0, 1]
-        for i in range(2, len(var)):
-            self._charge()
-            high = down[hi[i]]
-            down.append(self.node(var[i], self.union(down[lo[i]], high), high))
-        return down[root]
-
-    def project(self, root: int, keep: list[bool]) -> int:
-        """The node of the family {m & S : m in root's family}, S being the
-        variables v with keep[v]: proj(v, lo, hi) = node(v, proj lo, proj hi)
-        if keep[v], else union(proj lo, proj hi), taken over the table in id
-        order, children first."""
-        var, lo, hi = self.var, self.lo, self.hi
-        proj = [0, 1]
-        for i in range(2, root + 1):
-            self._charge()
-            v = var[i]
-            if keep[v]:
-                proj.append(self.node(v, proj[lo[i]], proj[hi[i]]))
-            else:
-                proj.append(self.union(proj[lo[i]], proj[hi[i]]))
-        return proj[root]
-
-    def members(self, root: int) -> Iterator[list[int]]:
-        """Each member of root's family as its variables in increasing order,
-        the members in lexicographic order of those lists."""
-        var, lo, hi = self.var, self.lo, self.hi
-        stack = [(root, [])] if root else []
-        while stack:
-            f, path = stack.pop()
-            while f > 1:  # no high child is node 0, so this ends at node 1
-                if lo[f]:
-                    stack.append((lo[f], path[:]))
-                path.append(var[f])
-                f = hi[f]
-            yield path
-
-    def size_counts(self, root: int) -> dict[int, int]:
-        """Number of non-empty members of root's family by size, the size of
-        a member being the total length of its orbits.  Counting makes no
-        nodes, so the unique table and the memo are dropped first."""
-        self.unique.clear()
-        self.memo.clear()
-        var, lo, hi, lengths, width = self.var, self.lo, self.hi, self.lengths, self.width
-        seen = bytearray(root + 1)
-        seen[root] = 1
-        for i in range(root, 1, -1):
-            if seen[i]:
-                seen[lo[i]] = seen[hi[i]] = 1
-        poly = {0: 0, 1: 1}  # size polynomials packed as by _poly_width
-        for i in range(2, root + 1):
-            if seen[i]:
-                poly[i] = poly[lo[i]] + (poly[hi[i]] << lengths[var[i]] * width)
-        return _size_counts(poly[root], width)
-
-
-def _full_zdd(ovs: ValidOrbitSet, budget: _Budget) -> tuple[_Zdd, int, int]:
-    """The family of full covers as a ZDD, its root, and the number of full
-    covers, which the DP counts on the way.
-
-    Variable v is valid orbit v: triple_orbits lists the orbits by least
-    triple, so _orbit_groups holds 0..V-1 in cell order, as the variables
-    must be.  The DP's full count runs forward keeping every level; then each
-    state becomes a node, cell by cell from the last: the final state 0 is
-    the family of the empty set, and a state that cannot reach it is the
-    empty family.  At a covered cell a state is its successor's node; at a
-    free cell it is a chain over the compatible orbits of the cell's group,
-    each leading to its successor.  Every full cover is exactly one path, so
-    the ZDD holds the full covers and nothing else.  The kept levels and the
-    ZDD's tables together stay within _MAX_LEVEL_BYTES.
-    """
+    The full count keeps its levels; a backward pass from the final state 0
+    keeps and numbers, in level order, the states that reach it.  steps
+    holds (group, moves) per cell p, group being the orbits with least cell
+    p and moves[k] the pairs (j, b) of live state k before p: j the position
+    in group of the orbit placed, or -1 for a pass, and b the successor's
+    number.  A cell where every state passes to its own number is left out,
+    and steps is empty without a full cover.  State 0 is number 0 at both
+    ends.  The steps and the levels not yet read share _MAX_LEVEL_BYTES."""
     trail: list = []
     found = _levels(ovs, 0, budget, trail=trail)
-    # a family in the closure holds at most one orbit per group
-    width = _poly_width(group for group, _, _ in trail)
-    kept = sum(len(level) for _, _, level in trail)
-    room = (_MAX_LEVEL_BYTES - kept * _STATE_BYTES) // _ZDD_ENTRY_BYTES
-    zdd = _Zdd(ovs.lengths, width, budget, room)
     if not found:  # the DP stopped at an empty level; the trail is cut short
-        return zdd, 0, 0
-    node = zdd.node
-    nodes = {0: 1}
+        return 0, []
+    kept = sum(len(level) for _, _, level in trail)
+    used, live, steps = 0, {0: 0}, []  # used: the bytes of the live steps
     for p in range(len(trail) - 1, -1, -1):
         group, keep, level = trail.pop()
+        kept -= len(level)
         budget.check_time()
-        bit = 1 << p
-        moves = [(i, ovs.masks[i]) for i in reversed(group)]
+        masks = [ovs.masks[i] for i in group]
         here: dict[int, int] = {}
+        moves = []
         for key in level:
-            if key & bit:
-                got = nodes.get(key & keep, 0)
+            budget.spend()
+            if key >> p & 1:
+                out = [(-1, live[key & keep])] if key & keep in live else []
             else:
-                got = 0
-                for v, mask in moves:
-                    if not key & mask:
-                        got = node(v, got, nodes.get((key | mask) & keep, 0))
-            if got:
-                here[key] = got
-        nodes = here
-    return zdd, nodes.get(0, 0), found
+                out = [(j, live[k]) for j, mask in enumerate(masks)
+                       if not key & mask and (k := (key | mask) & keep) in live]
+            if out:
+                here[key] = len(moves)
+                moves.append(out)
+        used += _step_bytes(moves)
+        if used + kept * _STATE_BYTES > _MAX_LEVEL_BYTES:
+            raise StateBudgetExceededError(
+                f"live steps at cell {p} take {used} bytes beside {kept} kept "
+                f"states, over the ceiling of {_MAX_LEVEL_BYTES}")
+        if any(out != [(-1, k)] for k, out in enumerate(moves)):
+            steps.append((group, moves))
+        live = here
+    steps.reverse()
+    return found, steps
+
+
+def _step_bytes(moves: list) -> int:
+    return _LIVE_BYTES * len(moves) + _MOVE_BYTES * sum(map(len, moves))
+
+
+def _digit_bytes(bits: int) -> int:
+    return (bits + 29) // 30 * 4  # CPython keeps 30 bits in 4 bytes
+
+
+def _completable_counts(ovs: ValidOrbitSet, steps, budget: _Budget
+                        ) -> dict[int, int]:
+    """Number of non-empty squares by size that some full cover extends,
+    steps being the live moves of ovs.
+
+    The subset construction (Rabin and Scott, 1959) over the moves: a square
+    decides at each cell whether to place an orbit of its group, and its
+    state is the bitset of live states that the covers extending it can be
+    in.  Left blank, the set takes every move of its members; placing orbit
+    j, the j-moves, and the value, the size polynomial, shifts by the
+    orbit's length.  An empty set is dropped.  A square makes one path, so
+    the value of the final set {0} counts each completable square once."""
+    # a completable square holds no orbit of a group that steps leaves out
+    width = _poly_width(group for group, _ in steps)
+    # a set is charged its dict entry and the most digits it and its value take
+    entry = _SET_BYTES + _digit_bytes(width * (ovs.n * ovs.n + 1))
+    cost = [entry + _digit_bytes(len(moves)) for _, moves in steps] + [
+        entry + _digit_bytes(1)]
+    room = _MAX_LEVEL_BYTES - sum(_step_bytes(moves) for _, moves in steps)
+    level = {1: 1}
+    for p, (group, moves) in enumerate(steps):
+        budget.check_time()
+        shifts = [ovs.lengths[i] * width for i in group]
+        limit = (room - cost[p] * len(level)) // cost[p + 1]
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for members, value in level.items():
+            budget.spend()
+            blank = 0
+            placed = [0] * len(group)
+            text = bin(members)[:1:-1]  # bit k of members is text[k]
+            k = text.find("1")
+            while k >= 0:
+                for j, b in moves[k]:
+                    blank |= 1 << b
+                    if j >= 0:
+                        placed[j] |= 1 << b
+                k = text.find("1", k + 1)
+            nxt[blank] = get(blank, 0) + value
+            for j, got in enumerate(placed):
+                if got:
+                    nxt[got] = get(got, 0) + (value << shifts[j])
+            if len(nxt) > limit:
+                raise StateBudgetExceededError(
+                    f"completability level at cell {p} holds {len(nxt)} sets "
+                    f"beside {len(level)} read, over this census's ceiling of {limit}")
+        level = nxt
+    return _size_counts(level.get(1, 0), width)
+
+
+def _projected_covers(steps, inside: list[bool], budget: _Budget
+                      ) -> Iterator[tuple[list[int], int]]:
+    """(orbits, covers) for each set of orbits i with inside[i] that some
+    full cover of steps holds, orbits in increasing order, and the number
+    of full covers holding it; the sets come in lexicographic order, a set
+    before its own prefixes.
+
+    A depth-first walk on an explicit stack, whose state maps live states to
+    the number of partial covers in them.  At each cell it branches: placing
+    each inside orbit of the group in turn, then leaving them all out, which
+    takes the passes and the outside orbits.  An empty branch is dropped."""
+    stack = [(0, {0: 1}, ())]
+    while stack:
+        p, counts, chosen = stack.pop()
+        if p == len(steps):
+            yield list(chosen), counts[0]
+            continue
+        budget.spend()
+        group, moves = steps[p]
+        blank = len(group)
+        branches: defaultdict[int, dict[int, int]] = defaultdict(dict)
+        for k, c in counts.items():
+            for j, b in moves[k]:
+                branch = branches[j if j >= 0 and inside[group[j]] else blank]
+                branch[b] = branch.get(b, 0) + c
+        # popped in turn: the inside orbits in increasing order, then blank
+        for j in sorted(branches, reverse=True):
+            stack.append((p + 1, branches[j],
+                          chosen if j == blank else chosen + (group[j],)))
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -251,7 +251,8 @@ class CycleStructure:
             counts[p - 1] += 1
         return cls(tuple(counts))
 
-    def __str__(self) -> str:
+    @cached_property
+    def _text(self) -> str:
         toks = []
         for j in range(self.degree, 0, -1):
             c = self.counts[j - 1]
@@ -260,6 +261,10 @@ class CycleStructure:
             elif c > 1:
                 toks.append(f"{j}^{c}")
         return ".".join(toks)
+
+    def __str__(self) -> str:
+        # formatted once: structures --parastrophic prints each many times
+        return self._text
 
     @classmethod
     def parse(cls, text: str, degree: Optional[int] = None) -> "CycleStructure":

@@ -7,12 +7,15 @@ console script sees.
 
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -195,13 +198,30 @@ def test_census_full_only_state_ceiling_exit_code(capsys, monkeypatch):
     assert "aborted: full-count level at cell" in err and "Traceback" not in err
 
 
-def test_ccensus_memo_ceiling_exit_code(capsys, monkeypatch):
-    # the ZDD's node and memo tables share the ceiling
-    monkeypatch.setattr("latinsym.orbit_enum._MAX_LEVEL_BYTES", 100 * 1000)
-    rc, out, err = run(capsys, ["ccensus", "--z", "1^3,1^3,1^3"])
+def test_ccensus_ceiling_exit_code(capsys, monkeypatch):
+    # the live steps and the levels of sets share the ceiling; 2.1,2.1,2.1
+    # fits under it, 1^4 does not
+    monkeypatch.setattr("latinsym.orbit_enum._MAX_LEVEL_BYTES", 1 << 20)
+    rc, out, _ = run(capsys, ["ccensus", "--z", "2.1,2.1,2.1"])
+    assert rc == 0 and out.endswith("total 109\n")
+    rc, out, err = run(capsys, ["ccensus", "--z", "1^4,1^4,1^4"])
     assert rc == 3
     assert out == ""
-    assert "aborted: ZDD holds" in err and "Traceback" not in err
+    assert "aborted: completability level at cell" in err and "Traceback" not in err
+
+
+def test_read_square_closes_its_file(tmp_path):
+    # under -X dev an unclosed file prints a ResourceWarning on stderr as
+    # the file object is collected
+    path = tmp_path / "square.txt"
+    path.write_text(". .\n. .\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "latinsym.cli",
+         "complete", "--z", "1^2,1^2,1^2", "--pls", str(path)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "completable\n")
+    assert "ResourceWarning" not in proc.stderr
 
 
 @pytest.mark.parametrize("argv, stdin", [

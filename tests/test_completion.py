@@ -9,7 +9,7 @@ import random
 import re
 import sys
 import time
-import weakref
+import tracemalloc
 from collections import Counter
 from itertools import product
 from importlib import resources
@@ -31,7 +31,6 @@ from latinsym.orbit_enum import (
     delta_census,
     delta_full,
 )
-from latinsym import orbit_enum
 from latinsym.completion import (
     ShapeSet,
     basis_from_shape,
@@ -45,6 +44,7 @@ from latinsym.completion import (
 )
 
 import oracles
+import pinned_walks
 from oracles import iter_invariant_squares
 from test_orbit_enum import random_conjugate
 
@@ -259,8 +259,8 @@ def test_completability_census_matches_oracle():
 
 
 def test_completability_census_matches_walk():
-    # the ZDD census against a walk over every invariant square that asks
-    # the cover search about each one
+    # the census against a walk over every invariant square that asks the
+    # cover search about each one
     table5 = (resources.files("latinsym") / "data" / "table5.csv").read_text()
     specs = [row[1] for row in csv.reader(table5.splitlines()[1:]) if row]
     specs += [str(z) for n in (1, 2, 3, 4) for z in enumerate_autotopism_structures(n)
@@ -289,8 +289,9 @@ def test_completability_census_identity_order_four():
 
 
 def test_census_budget_bounds_ccensus():
+    # the census of 3.1^2 spends 382 nodes
     with pytest.raises(NodeBudgetExceededError):
-        completability_census(rep_of("3.1^2,3.1^2,3.1^2"), max_nodes=500)
+        completability_census(rep_of("3.1^2,3.1^2,3.1^2"), max_nodes=300)
     # node_count is exactly what the budget was charged
     t = rep_of("1^3,1^3,1^3")
     rep = completability_census(t)
@@ -325,31 +326,66 @@ def test_cover_search_does_not_recurse():
         sys.setrecursionlimit(limit)
 
 
-def test_zdd_ceiling(monkeypatch):
-    # room for about 580 ZDD entries; the census of 1^3 needs about 1,400,
-    # that of 2.1,2.1,2.1 under 100
-    monkeypatch.setattr("latinsym.orbit_enum._MAX_LEVEL_BYTES", 100 * 1000)
-    with pytest.raises(StateBudgetExceededError, match=r"ZDD holds \d+ nodes"):
-        completability_census(rep_of("1^3,1^3,1^3"))
+def test_completability_census_ceiling(monkeypatch):
+    # 1 MiB holds the live steps of 1^4 and of 2.1,2.1,2.1 and every level
+    # of sets of the latter; the sets of 1^4 outgrow it at cell 6
+    monkeypatch.setattr("latinsym.orbit_enum._MAX_LEVEL_BYTES", 1 << 20)
+    with pytest.raises(StateBudgetExceededError,
+                       match=r"completability level at cell \d+ holds \d+ sets"):
+        completability_census(Isotopism.identity(4))
     assert completability_census(rep_of("2.1,2.1,2.1")).total == 109
 
 
-def test_census_frees_its_zdd_on_return(monkeypatch):
-    # the tables go when the census returns, not at the next cyclic collection
-    refs = []
-
-    class Tracked(orbit_enum._Zdd):
-        def __init__(self, *args):
-            super().__init__(*args)
-            refs.append(weakref.ref(self))
-
-    monkeypatch.setattr(orbit_enum, "_Zdd", Tracked)
+def test_census_frees_its_tables_on_return():
+    # the live steps and the levels of sets go when the census returns, not
+    # at the next cyclic collection: they peak above 256 KB, and under 16 KB
+    # is left.  The first call fills the caches of the structure tables.
+    t = rep_of("2^2.1,2^2.1,2^2.1")
+    completability_census(t)
     gc.disable()
+    tracemalloc.start()
     try:
-        assert completability_census(rep_of("2.1,2.1,2.1")).total == 109
-        assert len(refs) == 1 and refs[0]() is None
+        before = tracemalloc.get_traced_memory()[0]
+        assert completability_census(t).total == 1652257
+        after, peak = tracemalloc.get_traced_memory()
     finally:
+        tracemalloc.stop()
         gc.enable()
+    assert peak - before > 256 << 10
+    assert after - before < 16 << 10
+
+
+def test_ccensus_order_six_class_finishes():
+    # the slowest order-6 class that finishes, in seconds; the top size is
+    # the full count, and no size has more completable squares than squares
+    t = rep_of("2^3,2^3,1^6")
+    rep = completability_census(t)
+    assert rep.total == 30452603538
+    assert max(rep.per_size) == 36 and rep.per_size[36] == delta_full(t) == 460800
+    spectrum = delta_census(t).per_size
+    assert all(c <= spectrum[s] for s, c in rep.per_size.items())
+
+
+def test_walks_match_pinned_results():
+    # one SHA-256 over the censuses and the bases of pinned_walks's cases;
+    # the digests are those of the ZDD-based code that the walks replaced
+    assert pinned_walks.census_digest() == (
+        "b2c131a61971efab695ffdd0f07660c92c39f8dd3e9d775578ec61e30a0e1083", 231)
+    assert pinned_walks.basis_digest() == (
+        "bf07c1289c47c205e2b7e0ca6e2204642fe2ecef46067042c5021c03244a84d5", 1032)
+
+
+def test_library_calls_write_nothing(capfd):
+    # a result line on stdout must stay the last line a caller prints
+    t = rep_of("2.1^2,2.1^2,2.1^2")
+    P = PartialLatinSquare(4, frozenset({(3, 3, 3)}))
+    delta_census(t)
+    delta_full(t)
+    completability_census(t)
+    homogeneous_basis(t)
+    count_completions(t, P)
+    is_theta_completable(t, P)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_completability_constant_on_isotopy_classes_small():
@@ -471,8 +507,8 @@ def test_basis_requires_an_invariant_full_square():
 
 
 def test_basis_checks_the_shape_before_building():
-    # the order-6 ZDD of full squares outgrows its ceiling after seconds;
-    # a shape out of range is refused before it is built
+    # the kept levels of the order-6 full count outgrow their ceiling after
+    # seconds; a shape out of range is refused before they are built
     started = time.monotonic()
     with pytest.raises(ValueError, match="out of range"):
         basis_from_shape(Isotopism.identity(6), ShapeSet(frozenset({(7, 7)})))
@@ -510,7 +546,7 @@ def test_homogeneous_basis_identity_order_two():
 
 
 def test_homogeneous_basis_honours_its_time_budget():
-    # building the ZDD of the full squares of order 6 alone outlasts the
+    # keeping the levels of the full count of order 6 alone outlasts the
     # budget, and would go on to its state ceiling
     started = time.monotonic()
     with pytest.raises(TimeBudgetExceededError):
