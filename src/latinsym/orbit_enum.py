@@ -14,10 +14,9 @@ packed integer rc | rs << n^2 | cs << 2n^2 of the three conflict masks cut
 down to the bits that orbits ahead can still touch, to a value.  At each
 cell a state that covers the cell passes it; any other either leaves it
 blank or places one compatible orbit of the cell's group.  Only two levels
-are alive at a time, the cost grows with the number of distinct states, not
-with the number of squares counted, and a level that would outgrow
-_MAX_LEVEL_BYTES aborts with StateBudgetExceededError.  The two modes differ
-only in what they set up before the loop:
+are alive at a time, and the cost grows with the number of distinct states,
+not with the number of squares counted.  The two modes differ only in what
+they set up before the loop:
 
 - the census: a value is the size polynomial of the partial squares decided
   so far, and placing an orbit shifts it by the orbit's length;
@@ -28,16 +27,16 @@ only in what they set up before the loop:
   completability census by the subset construction (_completable_counts)
   and the bases by a depth-first walk (_projected_covers).
 
-At a row boundary that no valid orbit crosses, a state is a column-symbol
-mask only, and states that a relabelling of the fixed columns of beta and
-the fixed symbols of gamma maps onto each other have equally many fillings
-of each size ahead; such states are merged into one (_row_merge), unless the
-count starts from placed orbits, whose later rows break the symmetry, or
-keeps its levels for the live moves, which need every state apart.  The
-uncapped census of 1^4 then expands 6,283 states, where it expanded
-366,614, and at the four boundaries of 1^5 the merge leaves 6, 290, 4,908
-and 19,286 states of 1,546, 5,961, 109,905 and 600,410, so that census
-finishes.
+At a row boundary that no valid orbit crosses, states that a relabelling
+of the fixed columns of beta and the fixed symbols of gamma relates are
+merged (_row_merge), unless the count starts from placed orbits or keeps
+its levels.  The uncapped census of 1^4 then expands 6,283 states, where it
+expanded 366,614, and at the four boundaries of 1^5 the merge leaves 6,
+290, 4,908 and 19,286 states of 1,546, 5,961, 109,905 and 600,410.
+
+Every table a search keeps, the level being read beside the one being built
+included, is charged to its budget (_Budget.held); one that would take the
+charge past _MAX_LEVEL_BYTES aborts with StateBudgetExceededError.
 CoverCounter, a memoized exact-cover search on the same packed states, only
 decides whether a cover exists, where its early exit beats a full DP pass.
 """
@@ -48,7 +47,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import filterfalse
+from itertools import accumulate, filterfalse
 from math import factorial, gcd, lcm, prod
 from typing import Iterator, NamedTuple, Optional
 
@@ -72,27 +71,21 @@ from .pls_core import (
     triple_orbits,
 )
 
-# Most bytes the DP level being built, the cover search's memo, or the
-# completability census's tables may take.  In the census and the full count
-# it bounds that level, not the process: the level being read lives beside
-# the one being built, so census --z 2^3,2^3,2^3, which aborts at cell 16
-# with 1,001,625 states, peaks at 434 MB.  A state costs about _STATE_BYTES
-# of key and dict entry plus, in the census, its size polynomial; the state
-# ceiling is this divided by that estimate: 1.86 million states for the
-# largest census in the tables (1^4,1^4,1^4 uncapped, whose largest level
-# holds 4,284), 1.08 million for an uncapped census at order 5 (1^5's
-# largest level holds 600,410; the process peaks at about 310 MB), and 3.36
-# million for plain-count values.
+# Most bytes one search's tables may hold together (_Budget.held): the DP
+# level being read and the one being built, the kept levels and live steps
+# of the full count, the two levels of sets of the completability census,
+# and the cover memo.  Each entry is charged _ENTRY_BYTES, one cost for
+# four kinds that tracemalloc measured at 64 to 112 bytes: a DP state's
+# key, value header and dict entry 66 to 92 (full counts of orders 5 and 6,
+# censuses of 1^4 and 1^5), a live state's list about 65, a move 64 to 96,
+# a set's dict entry and int headers 88 to 112.  A size polynomial or a set
+# adds its digits, the polynomial's over the sizes it can have reached
+# (_entry_costs).  The uncapped 1^5 census then charges at most 318.4 MiB,
+# at cell 19 with 591,816 states read and 600,410 built, and peaks at about
+# 307 MiB; census --z 2^3,2^3,2^3 stops at cell 16 at 318 MiB, where it
+# peaked at 433 MiB when only the level being built was charged.
 _MAX_LEVEL_BYTES = 320 << 20
-_STATE_BYTES = 100
-# The completability census charges its live steps and both levels of sets
-# together, at costs tracemalloc measured on 2^2.1, 1^4 and 1^5: a live
-# state's list about 65 bytes, a move 64 and 32 more past 256; a set's dict
-# entry and int headers 88 to 112, beside the most digits its set and value
-# can take.  ccensus 1^5 then stops at cell 10 with 186,026 sets, at 224 MB.
-_LIVE_BYTES = 88
-_MOVE_BYTES = 96
-_SET_BYTES = 112
+_ENTRY_BYTES = 100
 
 
 # ----------------------------------------------------------------------
@@ -130,10 +123,6 @@ def _pack(N: int, rc: int, rs: int, cs: int) -> int:
     return rc | rs << N | cs << 2 * N
 
 
-def _pair_bit(n: int, a: int, b: int) -> int:
-    return 1 << ((a - 1) * n + (b - 1))
-
-
 def build_valid_orbits(t: Isotopism) -> ValidOrbitSet:
     """Filter the triple orbits of t down to those that can occur in an
     invariant square, with their conflict masks.
@@ -154,10 +143,10 @@ def build_valid_orbits(t: Isotopism) -> ValidOrbitSet:
         if (row_len[r0], col_len[c0], sym_len[s0]) not in admissible:
             continue
         rc = rs = cs = 0
-        for (r, c, s) in orbit.triples:
-            rc |= _pair_bit(n, r, c)
-            rs |= _pair_bit(n, r, s)
-            cs |= _pair_bit(n, c, s)
+        for (r, c, s) in orbit.triples:  # pair (a, b) is bit (a-1)n + b-1
+            rc |= 1 << (r - 1) * n + c - 1
+            rs |= 1 << (r - 1) * n + s - 1
+            cs |= 1 << (c - 1) * n + s - 1
         if not (bin(rc).count("1") == bin(rs).count("1")
                 == bin(cs).count("1") == orbit.length):
             raise AssertionError(
@@ -207,10 +196,8 @@ def size_bounds(z: IsotopismStructure) -> SizeBounds:
     sums = []
     for pi in ((1, 2, 3), (1, 3, 2), (3, 2, 1)):
         zp = z.permuted(pi)
-        total = 0
-        for (a, b) in _lcm_pairs(zp):
-            total += zp.rows.count(a) * zp.cols.count(b) * a * b
-        sums.append(total)
+        sums.append(sum(zp.rows.count(a) * zp.cols.count(b) * a * b
+                        for (a, b) in _lcm_pairs(zp)))
     return SizeBounds(lower, min(sums))
 
 
@@ -227,13 +214,8 @@ def candidate_sizes(z: IsotopismStructure) -> set[int]:
     for (i, j) in sorted(_lcm_pairs(z)):
         unit = lcm(i, j)
         cap = z.rows.count(i) * z.cols.count(j) * gcd(i, j)
-        new = set()
-        for base in sums:
-            for w in range(0, cap + 1):
-                s = base + w * unit
-                if s <= upper:
-                    new.add(s)
-        sums = new
+        sums = {s for base in sums for w in range(cap + 1)
+                if (s := base + w * unit) <= upper}
     sums.discard(0)
     return sums
 
@@ -364,6 +346,19 @@ def _poly_width(groups) -> int:
     return prod(len(group) + 1 for group in groups).bit_length()
 
 
+def _digit_bytes(bits: int) -> int:
+    return (bits + 29) // 30 * 4  # CPython keeps 30 bits in 4 bytes
+
+
+def _entry_costs(groups, lengths, width: int, cap: int) -> list[int]:
+    """The bytes per entry of a level before each group and after the last:
+    _ENTRY_BYTES and the digits of a size polynomial over the sizes it can
+    have reached, each earlier group's longest orbit summed, capped at cap."""
+    longest = [max(map(lengths.__getitem__, group)) if group else 0 for group in groups]
+    return [_ENTRY_BYTES + _digit_bytes(width * (min(cap, r) + 1))
+            for r in accumulate(longest, initial=0)]
+
+
 def _size_counts(poly: int, width: int) -> dict[int, int]:
     """The non-zero coefficients of a packed size polynomial, sizes >= 1:
     size 0 is the empty square, which no count reports."""
@@ -379,8 +374,7 @@ def _levels(ovs: ValidOrbitSet, pre: int, budget: _Budget,
     is the per-size counts of sizes 1..cap.  Without, the full count: the
     number of full covers extending pre.  If trail is a list, (group, keep,
     level) is appended to it for every cell, level being the states before
-    the cell, and the state ceiling bounds the kept levels and the current
-    one together."""
+    the cell, and the kept levels stay in budget.held."""
     N = ovs.n * ovs.n
     groups, ahead = _orbit_groups(ovs, pre)
     if cap is None:
@@ -388,15 +382,14 @@ def _levels(ovs: ValidOrbitSet, pre: int, budget: _Budget,
         # orbit ahead touches, so a state keeps the bits of the cells ahead.
         cells = (1 << N) - 1
         ahead = [a | cells >> p << p for p, a in enumerate(ahead)]
-        kind, whose, width, window, blank = "full-count", "its", 0, -1, []
+        kind, width, window, blank = "full-count", 0, -1, []
     else:
         width = _poly_width(groups)
         window = (1 << width * (cap + 1)) - 1
-        kind, whose, blank = "census", "this census's", [(0, 0)]
-    # a census value takes up to window's bits; a full count's, -1, adds none
-    ceiling = _MAX_LEVEL_BYTES // (_STATE_BYTES + window.bit_length() // 8)
+        kind, blank = "census", [(0, 0)]
+    cost = _entry_costs(groups, ovs.lengths, width, cap or 0)
     spend = budget.spend
-    kept = 0
+    base = budget.held  # the caller's tables, and the levels kept in trail
     # pre places orbits in later rows, and _cover_steps recomputes the
     # successors of each kept state, which a merge would relabel
     merge_at, canon = _row_merge(ovs) if not pre and trail is None else ((), None)
@@ -411,11 +404,12 @@ def _levels(ovs: ValidOrbitSet, pre: int, budget: _Budget,
             continue
         bit = 1 << p
         moves = blank + [(ovs.masks[i], ovs.lengths[i] * width) for i in group]
+        budget.held = base + len(level) * cost[p]  # the level being read
         if trail is not None:
             trail.append((group, keep, level))
-            kept += len(level)
+            base = budget.held
         budget.check_time()
-        limit = ceiling - kept
+        limit = (_MAX_LEVEL_BYTES - budget.held) // cost[p + 1]
         # each state makes at most 1 + len(group) successors
         watch = len(level) * (1 + len(group)) > limit
         nxt: dict[int, int] = {}
@@ -436,13 +430,12 @@ def _levels(ovs: ValidOrbitSet, pre: int, budget: _Budget,
                             nxt[k] = get(k, 0) + moved
             if watch and len(nxt) > limit:
                 raise StateBudgetExceededError(
-                    f"{kind} level at cell {p} holds {len(nxt)} states"
-                    + (f" beside {kept} kept" if kept else "")
-                    + f", over {whose} ceiling of {ceiling}"
-                )
-        if not nxt:
-            return 0
+                    f"{kind} level at cell {p} holds {len(nxt)} states beside "
+                    f"{budget.held} bytes held, over the ceiling of {_MAX_LEVEL_BYTES}")
         level = nxt
+        if not level:
+            break
+    budget.held = base
     value = level.get(0, 0)
     return value if cap is None else _size_counts(value, width)
 
@@ -498,16 +491,14 @@ def _cover_steps(ovs: ValidOrbitSet, budget: _Budget):
     in group of the orbit placed, or -1 for a pass, and b the successor's
     number.  A cell where every state passes to its own number is left out,
     and steps is empty without a full cover.  State 0 is number 0 at both
-    ends.  The steps and the levels not yet read share _MAX_LEVEL_BYTES."""
+    ends.  Each live state and move is charged _ENTRY_BYTES as a level is read."""
     trail: list = []
     found = _levels(ovs, 0, budget, trail=trail)
     if not found:  # the DP stopped at an empty level; the trail is cut short
         return 0, []
-    kept = sum(len(level) for _, _, level in trail)
-    used, live, steps = 0, {0: 0}, []  # used: the bytes of the live steps
+    live, steps = {0: 0}, []
     for p in range(len(trail) - 1, -1, -1):
         group, keep, level = trail.pop()
-        kept -= len(level)
         budget.check_time()
         masks = [ovs.masks[i] for i in group]
         here: dict[int, int] = {}
@@ -522,24 +513,17 @@ def _cover_steps(ovs: ValidOrbitSet, budget: _Budget):
             if out:
                 here[key] = len(moves)
                 moves.append(out)
-        used += _step_bytes(moves)
-        if used + kept * _STATE_BYTES > _MAX_LEVEL_BYTES:
+        size = _ENTRY_BYTES * (len(moves) + sum(map(len, moves)))
+        if budget.held + size > _MAX_LEVEL_BYTES:
             raise StateBudgetExceededError(
-                f"live steps at cell {p} take {used} bytes beside {kept} kept "
-                f"states, over the ceiling of {_MAX_LEVEL_BYTES}")
+                f"live steps at cell {p} take {size} bytes beside {budget.held} "
+                f"bytes held, over the ceiling of {_MAX_LEVEL_BYTES}")
+        budget.held += size - len(level) * _ENTRY_BYTES
         if any(out != [(-1, k)] for k, out in enumerate(moves)):
             steps.append((group, moves))
         live = here
     steps.reverse()
     return found, steps
-
-
-def _step_bytes(moves: list) -> int:
-    return _LIVE_BYTES * len(moves) + _MOVE_BYTES * sum(map(len, moves))
-
-
-def _digit_bytes(bits: int) -> int:
-    return (bits + 29) // 30 * 4  # CPython keeps 30 bits in 4 bytes
 
 
 def _completable_counts(ovs: ValidOrbitSet, steps, budget: _Budget
@@ -555,17 +539,19 @@ def _completable_counts(ovs: ValidOrbitSet, steps, budget: _Budget
     orbit's length.  An empty set is dropped.  A square makes one path, so
     the value of the final set {0} counts each completable square once."""
     # a completable square holds no orbit of a group that steps leaves out
-    width = _poly_width(group for group, _ in steps)
-    # a set is charged its dict entry and the most digits it and its value take
-    entry = _SET_BYTES + _digit_bytes(width * (ovs.n * ovs.n + 1))
-    cost = [entry + _digit_bytes(len(moves)) for _, moves in steps] + [
-        entry + _digit_bytes(1)]
-    room = _MAX_LEVEL_BYTES - sum(_step_bytes(moves) for _, moves in steps)
-    level = {1: 1}
+    groups = [group for group, _ in steps]
+    width = _poly_width(groups)
+    # a set is charged as a census state, and its bitset's digits beside:
+    # one bit per live state before the cell, one for the final set {0}
+    entry = _entry_costs(groups, ovs.lengths, width, ovs.n * ovs.n)
+    bits = [len(moves) for _, moves in steps] + [1]
+    cost = [c + _digit_bytes(b) for c, b in zip(entry, bits)]
+    base, level = budget.held, {1: 1}
     for p, (group, moves) in enumerate(steps):
+        budget.held = base + len(level) * cost[p]
         budget.check_time()
         shifts = [ovs.lengths[i] * width for i in group]
-        limit = (room - cost[p] * len(level)) // cost[p + 1]
+        limit = (_MAX_LEVEL_BYTES - budget.held) // cost[p + 1]
         nxt: dict[int, int] = {}
         get = nxt.get
         for members, value in level.items():
@@ -586,9 +572,10 @@ def _completable_counts(ovs: ValidOrbitSet, steps, budget: _Budget
                     nxt[got] = get(got, 0) + (value << shifts[j])
             if len(nxt) > limit:
                 raise StateBudgetExceededError(
-                    f"completability level at cell {p} holds {len(nxt)} sets "
-                    f"beside {len(level)} read, over this census's ceiling of {limit}")
+                    f"completability level at cell {p} holds {len(nxt)} sets beside "
+                    f"{budget.held} bytes held, over the ceiling of {_MAX_LEVEL_BYTES}")
         level = nxt
+    budget.held = base
     return _size_counts(level.get(1, 0), width)
 
 
@@ -636,8 +623,8 @@ class CoverCounter:
     problem completely.  covers() is a memoized exact-cover search keyed on
     it that stops at the first cover found; each step branches on the
     compatible orbits through the uncovered cell with fewest of them, taking
-    the first cell with at most one.  Its memo is capped at
-    _MAX_LEVEL_BYTES // _STATE_BYTES entries.  count_from() is the frontier
+    the first cell with at most one.  Each memo entry adds _ENTRY_BYTES to
+    budget.held, which _MAX_LEVEL_BYTES caps.  count_from() is the frontier
     DP's full count (_levels) from the same state and on the same budget,
     whose nodes are the search states and DP states expanded.
     """
@@ -657,7 +644,6 @@ class CoverCounter:
                 m ^= low
         self.by_cell = by_cell
         self.budget = budget or _Budget(None, None)
-        self.max_memo = _MAX_LEVEL_BYTES // _STATE_BYTES
         self._can_memo: dict[int, bool] = {}
 
     def _candidates(self, key: int) -> list[int]:
@@ -708,12 +694,13 @@ class CoverCounter:
         return False
 
     def _remember(self, key: int, result: bool) -> None:
-        memo = self._can_memo
+        memo, budget = self._can_memo, self.budget
         # checked on insert: the memo grows as the search returns
-        if len(memo) >= self.max_memo:
+        if budget.held + _ENTRY_BYTES > _MAX_LEVEL_BYTES:
             raise StateBudgetExceededError(
-                f"cover memo holds {len(memo)} entries, the ceiling of this search"
-            )
+                f"cover memo holds {len(memo)} entries, {budget.held} bytes held "
+                f"in all, at the ceiling of {_MAX_LEVEL_BYTES}")
+        budget.held += _ENTRY_BYTES
         memo[key] = result
 
     def count_from(self, rc: int, rs: int, cs: int) -> int:

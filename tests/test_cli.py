@@ -180,6 +180,21 @@ def test_census_budget_abort_exit_code(capsys):
     assert "aborted" in err
 
 
+@pytest.mark.parametrize("option, value, code", [
+    ("--max-nodes", "0", 3),
+    ("--timeout-secs", "0", 3),
+    ("--timeout-secs", "nan", 2),
+    ("--timeout-secs", "-1", 2),
+    ("--max-nodes", "-1", 2),
+])
+def test_census_budget_edge_values(capsys, option, value, code):
+    # a budget of 0 has run out before the first node; a NaN or negative
+    # one is malformed input
+    rc, out, err = run(capsys, ["census", "--z", "1^3,1^3,1^3", f"{option}={value}"])
+    assert rc == code and out == ""
+    assert err.startswith("aborted: " if code == 3 else "error: ")
+
+
 def test_census_state_ceiling_exit_code(capsys, monkeypatch):
     monkeypatch.setattr("latinsym.orbit_enum._MAX_LEVEL_BYTES", 1 << 20)
     rc, out, err = run(capsys, ["census", "--z", "2^3,2^3,2^3"])

@@ -19,6 +19,7 @@ from latinsym.pls_core import (
     is_autotopism,
 )
 from latinsym import orbit_enum
+from latinsym.budget import _Budget
 from latinsym.orbit_enum import (
     CoverCounter,
     NodeBudgetExceededError,
@@ -251,6 +252,24 @@ def test_census_live_state_ceiling(monkeypatch):
     with pytest.raises(StateBudgetExceededError, match=r"level at cell \d+ holds \d+ states"):
         delta_census(t)
     assert delta_census(t, max_size=2).per_size == {2: 108}
+
+
+def test_full_count_charges_the_level_read(monkeypatch):
+    # 3^2,3^2,3^2 has no fixed column or symbol, so its full count merges
+    # nothing; its largest level, 222 states, is built from one of 168.
+    # 222 plain-count states of 100 bytes hold that level on its own but
+    # not beside the level it is built from; 390 hold both.
+    t = rep_of("3^2,3^2,3^2")
+    trail: list = []
+    orbit_enum._levels(build_valid_orbits(t), 0, _Budget(None, None), trail=trail)
+    sizes = [len(level) for _, _, level in trail]
+    assert max(sizes) == 222 and sizes[sizes.index(222) - 1] == 168
+    assert max(a + b for a, b in zip(sizes, sizes[1:])) == 390
+    monkeypatch.setattr(orbit_enum, "_MAX_LEVEL_BYTES", 222 * 100)
+    with pytest.raises(StateBudgetExceededError, match=r"level at cell \d+ holds \d+ states"):
+        delta_full(t)
+    monkeypatch.setattr(orbit_enum, "_MAX_LEVEL_BYTES", 390 * 100)
+    assert delta_full(t) == 648
 
 
 def test_census_report_invariants():
