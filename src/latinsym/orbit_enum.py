@@ -47,7 +47,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, filterfalse
+from itertools import accumulate, cycle, filterfalse
 from math import factorial, gcd, lcm, prod
 from typing import Iterator, NamedTuple, Optional
 
@@ -82,10 +82,17 @@ from .pls_core import (
 # adds its digits, the polynomial's over the sizes it can have reached
 # (_entry_costs).  The uncapped 1^5 census then charges at most 318.4 MiB,
 # at cell 19 with 591,816 states read and 600,410 built, and peaks at about
-# 307 MiB; census --z 2^3,2^3,2^3 stops at cell 16 at 318 MiB, where it
+# 291 MiB; census --z 2^3,2^3,2^3 stops at cell 16 at 318 MiB, where it
 # peaked at 433 MiB when only the level being built was charged.
 _MAX_LEVEL_BYTES = 320 << 20
 _ENTRY_BYTES = 100
+
+
+def _overflow(budget: _Budget, what: str) -> StateBudgetExceededError:
+    """The error for a table, said by what, that would take budget.held
+    past _MAX_LEVEL_BYTES."""
+    return StateBudgetExceededError(
+        f"{what} beside {budget.held} bytes held, over the ceiling of {_MAX_LEVEL_BYTES}")
 
 
 # ----------------------------------------------------------------------
@@ -275,8 +282,8 @@ def _orbit_groups(ovs: ValidOrbitSet, pre: int
 
 
 def _row_merge(ovs: ValidOrbitSet):
-    """(cells, canon) for merging DP states under fixed-point relabellings:
-    the DP merges its level with canon before each cell in cells.
+    """(cells, merge) for merging DP states under fixed-point relabellings:
+    the DP replaces its level with merge(level) before each cell in cells.
 
     cells holds r*n for every row boundary r that no valid orbit crosses,
     and is empty when no two fixed columns or fixed symbols can be swapped.
@@ -287,10 +294,11 @@ def _row_merge(ovs: ValidOrbitSet):
     of the same length; so it maps the fillings of the rows ahead one-to-one
     and keeps their sizes, and states it relates may share one entry.
 
-    canon(key) applies such a relabelling: it sorts the fixed column lanes
-    of the cs matrix, then its fixed symbol lanes, until neither changes.
-    Both sorts raise sum(m[c][s] 2^(c+s)) whenever they move a lane, so the
-    loop ends.  It may miss a merge, which costs only speed.
+    merge(level) applies such a relabelling to each state, adding the values
+    of states brought to one key: it sorts the fixed column lanes of the cs
+    matrix, then its fixed symbol lanes, until neither changes.  Both sorts
+    raise sum(m[c][s] 2^(c+s)) whenever they move a lane, so the loop ends.
+    It may miss a merge, which costs only speed.
     """
     n = ovs.n
     N = n * n
@@ -308,34 +316,25 @@ def _row_merge(ovs: ValidOrbitSet):
     spread = sum(1 << 2 * N + c * n for c in range(n))  # one bit per column
     col_clear = ~sum(lane << sh for sh in fc)
     sym_clear = ~sum(spread << sh for sh in fs)
-    memo: dict[int, int] = {}
+    sorts = ((fc, lane, col_clear), (fs, spread, sym_clear))
 
-    def canon(key: int) -> int:
-        got = memo.get(key)
-        if got is None:
-            got, old = key, -1
-            while got != old:
-                old = got
-                for shifts, width, clear in ((fc, lane, col_clear),
-                                             (fs, spread, sym_clear)):
-                    lanes = sorted([got >> sh & width for sh in shifts])
-                    got &= clear
-                    for sh, v in zip(shifts, lanes):
-                        got |= v << sh
-            memo[key] = got
-        return got
+    def merge(level: dict[int, int]) -> dict[int, int]:
+        out: dict[int, int] = {}
+        get = out.get
+        for key, value in level.items():
+            for i, (shifts, width, clear) in enumerate(cycle(sorts)):
+                lanes = [key >> sh & width for sh in shifts]
+                ordered = sorted(lanes)
+                if lanes != ordered:
+                    key &= clear
+                    for sh, v in zip(shifts, ordered):
+                        key |= v << sh
+                elif i:  # the sort before left its lanes in order too
+                    break
+            out[key] = get(key, 0) + value
+        return out
 
-    return cells, canon
-
-
-def _merged(level: dict[int, int], canon) -> dict[int, int]:
-    """level with each state brought to canon(state), values added."""
-    out: dict[int, int] = {}
-    get = out.get
-    for key, value in level.items():
-        k = canon(key)
-        out[k] = get(k, 0) + value
-    return out
+    return cells, merge
 
 
 def _poly_width(groups) -> int:
@@ -392,11 +391,11 @@ def _levels(ovs: ValidOrbitSet, pre: int, budget: _Budget,
     base = budget.held  # the caller's tables, and the levels kept in trail
     # pre places orbits in later rows, and _cover_steps recomputes the
     # successors of each kept state, which a merge would relabel
-    merge_at, canon = _row_merge(ovs) if not pre and trail is None else ((), None)
+    merge_at, merge = _row_merge(ovs) if not pre and trail is None else ((), None)
     level = {pre & ahead[0]: 1}
     for p in range(N):
         if p in merge_at:
-            level = _merged(level, canon)
+            level = merge(level)
         keep = ahead[p + 1]
         group = groups[p]
         # only the census skips a cell: a full count's ahead[p] holds bit p
@@ -429,9 +428,7 @@ def _levels(ovs: ValidOrbitSet, pre: int, budget: _Budget,
                             k = (key | mask) & keep
                             nxt[k] = get(k, 0) + moved
             if watch and len(nxt) > limit:
-                raise StateBudgetExceededError(
-                    f"{kind} level at cell {p} holds {len(nxt)} states beside "
-                    f"{budget.held} bytes held, over the ceiling of {_MAX_LEVEL_BYTES}")
+                raise _overflow(budget, f"{kind} level at cell {p} holds {len(nxt)} states")
         level = nxt
         if not level:
             break
@@ -515,9 +512,7 @@ def _cover_steps(ovs: ValidOrbitSet, budget: _Budget):
                 moves.append(out)
         size = _ENTRY_BYTES * (len(moves) + sum(map(len, moves)))
         if budget.held + size > _MAX_LEVEL_BYTES:
-            raise StateBudgetExceededError(
-                f"live steps at cell {p} take {size} bytes beside {budget.held} "
-                f"bytes held, over the ceiling of {_MAX_LEVEL_BYTES}")
+            raise _overflow(budget, f"live steps at cell {p} take {size} bytes")
         budget.held += size - len(level) * _ENTRY_BYTES
         if any(out != [(-1, k)] for k, out in enumerate(moves)):
             steps.append((group, moves))
@@ -571,9 +566,7 @@ def _completable_counts(ovs: ValidOrbitSet, steps, budget: _Budget
                 if got:
                     nxt[got] = get(got, 0) + (value << shifts[j])
             if len(nxt) > limit:
-                raise StateBudgetExceededError(
-                    f"completability level at cell {p} holds {len(nxt)} sets beside "
-                    f"{budget.held} bytes held, over the ceiling of {_MAX_LEVEL_BYTES}")
+                raise _overflow(budget, f"completability level at cell {p} holds {len(nxt)} sets")
         level = nxt
     budget.held = base
     return _size_counts(level.get(1, 0), width)
@@ -697,9 +690,7 @@ class CoverCounter:
         memo, budget = self._can_memo, self.budget
         # checked on insert: the memo grows as the search returns
         if budget.held + _ENTRY_BYTES > _MAX_LEVEL_BYTES:
-            raise StateBudgetExceededError(
-                f"cover memo holds {len(memo)} entries, {budget.held} bytes held "
-                f"in all, at the ceiling of {_MAX_LEVEL_BYTES}")
+            raise _overflow(budget, f"cover memo holds {len(memo)} entries")
         budget.held += _ENTRY_BYTES
         memo[key] = result
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import permutations as iter_permutations
+from itertools import chain, permutations as iter_permutations
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -102,10 +102,13 @@ class PartialLatinSquare:
     def parse_json(cls, text: str) -> "PartialLatinSquare":
         obj = json.loads(text)
         try:
-            n = int(obj["n"])
+            n, cells = obj["n"], [tuple(cell) for cell in obj["cells"]]
+            # a float or a boolean is no order or coordinate, whatever its value
+            if not all(type(v) is int for v in (n, *chain.from_iterable(cells))):
+                raise TypeError("an entry that is not an integer")
             check_parsed_order(n)
-            return cls.from_cells(n, obj["cells"])
-        except (KeyError, TypeError, OverflowError) as exc:
+            return cls.from_cells(n, cells)
+        except (KeyError, TypeError) as exc:
             raise ValueError('square JSON needs an integer "n" and "cells" as a '
                              f"list of [row, col, symbol] triples ({exc!r})") from None
 

@@ -329,6 +329,11 @@ def test_complete_rejects_non_invariant_square(tmp_path, capsys):
     '{"n": 3, "cells": 7}',
     '{"n": 3, "cells": [["a", "b", "c"]]}',
     '{"n": Infinity, "cells": []}',
+    # numbers that are not JSON integers
+    '{"n": 3, "cells": [[1.5, 1, 1]]}',
+    '{"n": 3, "cells": [[3, 3, 3.0]]}',
+    '{"n": 3.7, "cells": []}',
+    '{"n": true, "cells": []}',
 ])
 def test_complete_malformed_json_square_is_usage_error(payload, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(payload))
@@ -530,7 +535,9 @@ _JSON_SQUARES = st.one_of(
     st.fixed_dictionaries({
         "n": st.one_of(st.integers(-1, 4), st.integers(), _JSON_VALUES, st.sampled_from(
             [float("inf"), float("-inf"), float("nan"), 2.5, "3", True, 64, 65, 10 ** 8])),
-        "cells": st.one_of(st.lists(st.lists(st.integers(-1, 99), max_size=4), max_size=5),
+        "cells": st.one_of(st.lists(st.lists(st.one_of(st.integers(-1, 99), st.floats(),
+                                                       st.booleans()),
+                                             max_size=4), max_size=5),
                            _JSON_VALUES),
     }),
     _JSON_VALUES,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -361,6 +362,22 @@ def test_full_count_live_state_ceiling(monkeypatch):
     assert time.perf_counter() - started < 5.0
     assert delta_full(rep_of("1^4,1^4,1^4")) == 576
     assert delta_full(rep_of("2^3,2^3,1^6")) == 460800
+
+
+def test_row_merge_holds_nothing_beside_its_levels(monkeypatch):
+    # the full count of 1^7 fits under a ceiling of 4.7 MiB or more; the row
+    # merges keep no table of their own, so under a 5 MiB ceiling the traced
+    # peak, 5.6 MiB, stays within a fixed slack of it.  Tracing makes this
+    # run take 10 to 15 s.
+    monkeypatch.setattr(orbit_enum, "_MAX_LEVEL_BYTES", 5 << 20)
+    t = rep_of("1^7,1^7,1^7")
+    tracemalloc.start()
+    try:
+        assert delta_full(t) == 61479419904000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.5 * (1 << 20)
 
 
 # ----------------------------------------------------------------------
