@@ -96,12 +96,27 @@ def _read_square(path: str) -> PartialLatinSquare:
     return PartialLatinSquare.parse_text(text)
 
 
-def _print_diagnostics(started: float) -> None:
-    """Print the seconds since the time.monotonic() instant started and
-    the process's peak RSS as one diagnostics line on stderr."""
+def _print_diagnostics(elapsed: float, nodes: Optional[int] = None) -> None:
+    """Print the elapsed seconds, the search nodes if counted, and the
+    process's peak RSS as one diagnostics line on stderr."""
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    print(f"diagnostics: elapsed {time.monotonic() - started:.3f}s, "
-          f"peak_rss {peak_mb:.1f} MB", file=sys.stderr)
+    counted = "" if nodes is None else f", node_count {nodes} nodes"
+    print(f"diagnostics: elapsed {elapsed:.3f}s{counted}, peak_rss {peak_mb:.1f} MB",
+          file=sys.stderr)
+
+
+def _emit(args: argparse.Namespace, z: IsotopismStructure, header: str,
+          rows: list[tuple[object, object]], payload: dict) -> None:
+    """Print one result on stdout: payload and the structure as JSON with
+    sorted keys, header and a label,value line per row as CSV, or the
+    structure and a label value line per row as text."""
+    if args.json:
+        print(json.dumps({**payload, "structure": str(z)}, sort_keys=True))
+        return
+    lines = [header] if args.csv else [f"structure {z}"]
+    sep = "," if args.csv else " "
+    lines += [f"{label}{sep}{value}" for label, value in rows]
+    print("\n".join(lines))
 
 
 # ----------------------------------------------------------------------
@@ -109,10 +124,12 @@ def _print_diagnostics(started: float) -> None:
 # ----------------------------------------------------------------------
 
 def _table1_lines(upto: int, deadline: Optional[float]) -> list[str]:
-    lines = ["n,m1,m2,m3,m4,m5,m6,m7,m8,structures,classes"]
+    # the reference table's columns m1..m8 cover n <= 17; larger n add more
+    widest = max(8, upto // 2)
+    lines = [",".join(["n", *(f"m{m}" for m in range(1, widest + 1)), "structures,classes"])]
     for n in range(1, upto + 1):
         cells = [str(n)]
-        for m in range(1, 9):
+        for m in range(1, widest + 1):
             cells.append(str(cs_nm_count(n, m)) if m <= n // 2 else "")
         cells += map(str, count_structures_and_classes(n, deadline=deadline))
         lines.append(",".join(cells))
@@ -134,7 +151,7 @@ def cmd_structures(args: argparse.Namespace) -> int:
         lines = ["{}: {}, {}".format(n, *count_structures_and_classes(n, deadline=deadline))
                  for n in range(1, args.n + 1)]
     print("\n".join(lines))
-    _print_diagnostics(started)
+    _print_diagnostics(time.monotonic() - started)
     return EXIT_OK
 
 
@@ -142,20 +159,11 @@ def cmd_structures(args: argparse.Namespace) -> int:
 # census / ccensus
 # ----------------------------------------------------------------------
 
-def _emit_report(report, args: argparse.Namespace) -> None:
-    if args.json:
-        payload = report.to_json_dict()
-        del payload["diagnostics"]
-        print(json.dumps(payload, sort_keys=True))
-    elif args.csv:
-        sys.stdout.write(report.to_csv())
-    else:
-        print(f"structure {report.structure}")
-        for size, value in sorted(report.per_size.items()):
-            print(f"{size} {value}")
-        print(f"total {report.total}")
-    print(f"diagnostics: elapsed {report.elapsed:.3f}s, "
-          f"node_count {report.node_count} nodes", file=sys.stderr)
+def _emit_report(args: argparse.Namespace, report) -> None:
+    per_size = sorted(report.per_size.items())
+    _emit(args, report.structure, "size,count", [*per_size, ("total", report.total)],
+          {"per_size": {str(s): c for s, c in per_size}, "total": report.total})
+    _print_diagnostics(report.elapsed, report.node_count)
 
 
 def cmd_census(args: argparse.Namespace) -> int:
@@ -164,41 +172,25 @@ def cmd_census(args: argparse.Namespace) -> int:
     if args.sizes:
         lower, upper = size_bounds(z)
         sizes = sorted(candidate_sizes(z))
-        if args.json:
-            print(json.dumps({"structure": str(z), "lower": lower,
-                              "upper": upper, "sizes": sizes}, sort_keys=True))
-        elif args.csv:
-            print("field,value")
-            print(f"lower,{lower}")
-            print(f"upper,{upper}")
-            print(f"sizes,{' '.join(map(str, sizes))}")
-        else:
-            print(f"structure {z}")
-            print(f"lower {lower}")
-            print(f"upper {upper}")
-            print(f"sizes {' '.join(map(str, sizes))}")
-        return EXIT_OK
-    if args.full_only:
+        _emit(args, z, "field,value",
+              [("lower", lower), ("upper", upper), ("sizes", " ".join(map(str, sizes)))],
+              {"lower": lower, "upper": upper, "sizes": sizes})
+    elif args.full_only:
         value = delta_full(t, max_nodes=args.max_nodes, timeout_secs=args.timeout_secs)
-        if args.json:
-            print(json.dumps({"structure": str(z), "full": value}, sort_keys=True))
-        elif args.csv:
-            print("field,value")
-            print(f"full,{value}")
+        if args.json or args.csv:
+            _emit(args, z, "field,value", [("full", value)], {"full": value})
         else:
             print(value)
-        return EXIT_OK
-    report = delta_census(t, max_nodes=args.max_nodes,
-                          timeout_secs=args.timeout_secs)
-    _emit_report(report, args)
+    else:
+        _emit_report(args, delta_census(t, max_nodes=args.max_nodes,
+                                        timeout_secs=args.timeout_secs))
     return EXIT_OK
 
 
 def cmd_ccensus(args: argparse.Namespace) -> int:
     t = _resolve_isotopism(args)
-    report = completability_census(t, max_nodes=args.max_nodes,
-                                   timeout_secs=args.timeout_secs)
-    _emit_report(report, args)
+    _emit_report(args, completability_census(t, max_nodes=args.max_nodes,
+                                             timeout_secs=args.timeout_secs))
     return EXIT_OK
 
 
@@ -228,6 +220,10 @@ def cmd_complete(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_export(args: argparse.Namespace) -> int:
+    if args.format == "ideal" and args.raw:
+        raise ValueError("--raw applies only to --format lp")
+    if args.format == "lp" and args.skip_zero:
+        raise ValueError("--skip-zero applies only to --format ideal")
     t = _resolve_isotopism(args)
     model = WeightedModel(t.degree, t, target_size=args.m)
     if args.format == "ideal":
@@ -305,7 +301,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         mismatches, cells = _diff_census_table("table5.csv", completability_census)
     else:
         mismatches, cells = _diff_census_table(f"table{args.table}.csv", delta_census)
-    _print_diagnostics(started)
+    _print_diagnostics(time.monotonic() - started)
     if mismatches:
         for line in mismatches:
             print(f"MISMATCH {line}")
@@ -332,19 +328,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("structures", help="classification counts per order")
     p.add_argument("--n", type=int, required=True, help="largest order to list")
-    p.add_argument("--table", action="store_true",
-                   help="emit the full CSV layout with the min-part columns")
-    p.add_argument("--parastrophic", action="store_true",
-                   help="list one representative per parastrophic class at order N")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--table", action="store_true",
+                      help="emit the full CSV layout with the min-part columns")
+    mode.add_argument("--parastrophic", action="store_true",
+                      help="list one representative per parastrophic class at order N")
     _add_timeout(p)
     p.set_defaults(func=cmd_structures)
 
     p = subs.add_parser("census", help="per-size counts of invariant squares")
     _add_selector(p)
-    p.add_argument("--sizes", action="store_true",
-                   help="report size bounds and attainable sizes only")
-    p.add_argument("--full-only", action="store_true",
-                   help="count only the invariant full squares")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--sizes", action="store_true",
+                      help="report size bounds and attainable sizes only")
+    mode.add_argument("--full-only", action="store_true",
+                      help="count only the invariant full squares")
     _add_budget(p)
     _add_output_format(p)
     p.set_defaults(func=cmd_census)

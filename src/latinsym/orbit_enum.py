@@ -244,20 +244,6 @@ class CensusReport:
     def count(self, size: int) -> int:
         return self.per_size.get(size, 0)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "structure": str(self.structure),
-            "per_size": {str(k): v for k, v in sorted(self.per_size.items())},
-            "total": self.total,
-            "diagnostics": {"elapsed": self.elapsed, "node_count": self.node_count},
-        }
-
-    def to_csv(self) -> str:
-        lines = ["size,count"]
-        lines += [f"{s},{c}" for s, c in sorted(self.per_size.items())]
-        lines.append(f"total,{self.total}")
-        return "\n".join(lines) + "\n"
-
 
 # ----------------------------------------------------------------------
 # The census and the full count: a level-by-level frontier DP over the cells

@@ -4,8 +4,8 @@ Everything in here trades speed for obviousness: direct definitions, no
 bitmasks, no caching beyond memoizing whole result sets and each square's
 canonical form.  Test modules check the fast library code against these on
 small orders.  The four exceptions are walks over the library's valid-orbit
-masks, kept to check the DP and the ZDD on orders where walking is
-affordable: iter_invariant_squares lists the invariant squares themselves;
+masks, kept to check the DP and the cover search on orders where walking
+is affordable: iter_invariant_squares lists the invariant squares themselves;
 census_by_walker checks the census DP; completability_by_walker,
 which asks the library's cover search about every square it visits, checks
 the completability census; and basis_by_shape_walk, which counts each square

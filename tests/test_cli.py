@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from latinsym import cli
 from latinsym.cli import main
-from latinsym.perm_algebra import IsotopismStructure
+from latinsym.perm_algebra import IsotopismStructure, partitions_count
 from latinsym.pls_core import canonical_isotopism
 
 COUNTEREXAMPLE_3 = "3 . 2\n. 3 1\n2 1 .\n"
@@ -60,6 +60,19 @@ def test_structures_table_matches_reference_file(capsys):
     assert rc == 0
     reference = (resources.files("latinsym") / "data" / "table1.csv").read_text()
     assert out.strip() == reference.strip()
+
+
+def test_structures_table_min_part_columns_past_seventeen(capsys):
+    # every partition of n has a least part m <= n // 2 or is (n) itself
+    rc, out, _ = run(capsys, ["structures", "--n", "20", "--table"])
+    assert rc == 0
+    header, *rows = [line.split(",") for line in out.splitlines()]
+    assert header == ["n", *(f"m{m}" for m in range(1, 11)), "structures", "classes"]
+    assert len(rows) == 20
+    for row in rows[1:]:
+        n = int(row[0])
+        assert sum(int(c) for c in row[1:11] if c) + 1 == partitions_count(n)
+    assert rows[-1][10] == "1"  # m10 at n = 20: the partition 10 + 10
 
 
 def test_structures_diagnostics_on_stderr(capsys):
@@ -164,6 +177,9 @@ def test_census_sizes_mode(capsys):
     rc, out, _ = run(capsys, ["census", "--z", "2,2,2", "--sizes", "--json"])
     assert json.loads(out) == {"structure": "2,2,2", "lower": 2,
                                "upper": 4, "sizes": [2, 4]}
+    rc, out, _ = run(capsys, ["census", "--z", "2,2,2", "--sizes", "--csv"])
+    assert rc == 0
+    assert out == "field,value\nlower,2\nupper,4\nsizes,2 4\n"
 
 
 def test_census_full_only(capsys):
@@ -171,6 +187,10 @@ def test_census_full_only(capsys):
     assert rc == 0 and out == "0\n"
     rc, out, _ = run(capsys, ["census", "--z", "1^3,1^3,1^3", "--full-only"])
     assert rc == 0 and out == "12\n"
+    rc, out, _ = run(capsys, ["census", "--z", "1^3,1^3,1^3", "--full-only", "--json"])
+    assert rc == 0 and out == '{"full": 12, "structure": "1^3,1^3,1^3"}\n'
+    rc, out, _ = run(capsys, ["census", "--z", "1^3,1^3,1^3", "--full-only", "--csv"])
+    assert rc == 0 and out == "field,value\nfull,12\n"
 
 
 def test_census_budget_abort_exit_code(capsys):
@@ -223,6 +243,16 @@ def test_ccensus_ceiling_exit_code(capsys, monkeypatch):
     assert rc == 3
     assert out == ""
     assert "aborted: completability level at cell" in err and "Traceback" not in err
+
+
+def test_ccensus_live_steps_ceiling_exit_code(capsys, monkeypatch):
+    # under 128 KiB the levels of 1^4's full count fit, but its live steps
+    # at cell 11 (14,400 bytes) overflow the ceiling
+    monkeypatch.setattr("latinsym.orbit_enum._MAX_LEVEL_BYTES", 128 << 10)
+    rc, out, err = run(capsys, ["ccensus", "--z", "1^4,1^4,1^4"])
+    assert rc == 3
+    assert out == ""
+    assert "aborted: live steps at cell" in err and "Traceback" not in err
 
 
 def test_read_square_closes_its_file(tmp_path):
@@ -389,7 +419,14 @@ def test_ccensus_json_diagnostics_go_to_stderr(capsys):
     assert rc == 0
     assert json.loads(out) == {"per_size": {"2": 4, "4": 2},
                                "structure": "2,2,1^2", "total": 6}
-    assert "diagnostics:" in err and "node_count" in err
+    assert re.fullmatch(r"diagnostics: elapsed \d+\.\d{3}s, node_count \d+ nodes, "
+                        r"peak_rss \d+\.\d MB\n", err)
+
+
+def test_ccensus_csv(capsys):
+    rc, out, _ = run(capsys, ["ccensus", "--z", "2,2,1^2", "--csv"])
+    assert rc == 0
+    assert out == "size,count\n2,4\n4,2\ntotal,6\n"
 
 
 # ----------------------------------------------------------------------
@@ -492,6 +529,22 @@ def test_reproduce_completability_table_reports_known_disagreement(capsys):
 # parser-level behaviour
 # ----------------------------------------------------------------------
 
+@pytest.mark.parametrize("argv", [
+    ["census", "--z", "2,2,2", "--sizes", "--full-only"],
+    ["structures", "--n", "3", "--table", "--parastrophic"],
+    ["export", "--z", "2,2,1^2", "--format", "ideal", "--m", "2", "--raw"],
+    ["export", "--z", "2,2,1^2", "--format", "lp", "--skip-zero"],
+])
+def test_conflicting_options_are_refused(argv, capsys):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse's mutually exclusive groups
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "not allowed with" in captured.err or "applies only to" in captured.err
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -531,7 +584,23 @@ _JSON_VALUES = st.recursive(
                                                                 max_size=3),
     max_leaves=12,
 )
+
+
+@st.composite
+def _spoiled_order_3_squares(draw):
+    """An order-3 square of one to three triples in 1..3, one entry swapped
+    for a float in [1, 3] or a boolean. Without parse_json's integer check
+    such a float reaches the code that indexes by it; the other strategies
+    seldom draw one."""
+    cells = draw(st.lists(st.lists(st.integers(1, 3), min_size=3, max_size=3),
+                          min_size=1, max_size=3))
+    row = draw(st.integers(0, len(cells) - 1))
+    cells[row][draw(st.integers(0, 2))] = draw(st.one_of(st.floats(1, 3), st.booleans()))
+    return {"n": 3, "cells": cells}
+
+
 _JSON_SQUARES = st.one_of(
+    _spoiled_order_3_squares(),
     st.fixed_dictionaries({
         "n": st.one_of(st.integers(-1, 4), st.integers(), _JSON_VALUES, st.sampled_from(
             [float("inf"), float("-inf"), float("nan"), 2.5, "3", True, 64, 65, 10 ** 8])),
