@@ -176,11 +176,13 @@ def cmd_census(args: argparse.Namespace) -> int:
               [("lower", lower), ("upper", upper), ("sizes", " ".join(map(str, sizes)))],
               {"lower": lower, "upper": upper, "sizes": sizes})
     elif args.full_only:
+        started = time.monotonic()
         value = delta_full(t, max_nodes=args.max_nodes, timeout_secs=args.timeout_secs)
         if args.json or args.csv:
             _emit(args, z, "field,value", [("full", value)], {"full": value})
         else:
             print(value)
+        _print_diagnostics(time.monotonic() - started)
     else:
         _emit_report(args, delta_census(t, max_nodes=args.max_nodes,
                                         timeout_secs=args.timeout_secs))
@@ -203,6 +205,7 @@ def cmd_complete(args: argparse.Namespace) -> int:
     if args.theta is not None and args.n is None:
         args.n = P.n
     t = _resolve_isotopism(args)
+    started = time.monotonic()
     if args.count:
         value = count_completions(t, P, max_nodes=args.max_nodes,
                                   timeout_secs=args.timeout_secs)
@@ -212,6 +215,7 @@ def cmd_complete(args: argparse.Namespace) -> int:
         ok = is_theta_completable(t, P, max_nodes=args.max_nodes,
                                   timeout_secs=args.timeout_secs)
         print("completable" if ok else "not completable")
+    _print_diagnostics(time.monotonic() - started)
     return EXIT_OK
 
 

@@ -286,6 +286,8 @@ def triple_orbits(t: Isotopism) -> list[TripleOrbit]:
     follows repeated application of the isotopism from there.
     """
     n = t.degree
+    # point i's image at index i, so a step is three lookups
+    row, col, sym = ((0, *p.images) for p in t.components)
     seen: set[tuple[int, int, int]] = set()
     orbits = []
     for r in range(1, n + 1):
@@ -295,12 +297,12 @@ def triple_orbits(t: Isotopism) -> list[TripleOrbit]:
                 if start in seen:
                     continue
                 cyc = [start]
-                seen.add(start)
-                nxt = t.apply_triple(start)
+                nxt = (row[r], col[c], sym[s])
                 while nxt != start:
                     cyc.append(nxt)
-                    seen.add(nxt)
-                    nxt = t.apply_triple(nxt)
+                    a, b, g = nxt
+                    nxt = (row[a], col[b], sym[g])
+                seen.update(cyc)
                 orbits.append(TripleOrbit(tuple(cyc)))
     return orbits
 

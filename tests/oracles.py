@@ -213,6 +213,59 @@ def is_completable(square: frozenset, n: int) -> bool:
     return any(square <= ls for ls in all_latin_squares(n))
 
 
+def count_invariant_completions(theta, square: frozenset, n: int) -> int:
+    """Latin squares of order n fixed by theta that contain the square, which
+    must be fixed by theta itself.
+
+    Fills the empty cells in row-major order; a symbol put in a cell puts the
+    whole orbit of that triple under theta, so every square built is fixed by
+    theta and each is built once.  Unlike all_latin_squares it never lists
+    the squares of order n, so order 5 is affordable.
+    """
+    al, be, ga = theta
+    grid = {(r, c): s for r, c, s in square}
+    row_syms = {(r, s) for r, _, s in square}
+    col_syms = {(c, s) for _, c, s in square}
+    cells = [(r, c) for r in range(1, n + 1) for c in range(1, n + 1)]
+
+    def orbit(triple):
+        out = [triple]
+        while True:
+            r, c, s = out[-1]
+            nxt = (al[r - 1], be[c - 1], ga[s - 1])
+            if nxt == triple:
+                return out
+            out.append(nxt)
+
+    def walk(k: int) -> int:
+        while k < len(cells) and cells[k] in grid:
+            k += 1
+        if k == len(cells):
+            return 1
+        r, c = cells[k]
+        total = 0
+        for s in range(1, n + 1):
+            orb = orbit((r, c, s))
+            rcs = {(a, b) for a, b, _ in orb}
+            rss = {(a, x) for a, _, x in orb}
+            css = {(b, x) for _, b, x in orb}
+            if not len(rcs) == len(rss) == len(css) == len(orb):
+                continue  # the orbit repeats a pair, so no square holds it
+            if rcs & grid.keys() or rss & row_syms or css & col_syms:
+                continue
+            grid.update(((a, b), x) for a, b, x in orb)
+            row_syms.update(rss)
+            col_syms.update(css)
+            total += walk(k + 1)
+            for key in rcs:
+                del grid[key]
+            row_syms.difference_update(rss)
+            col_syms.difference_update(css)
+        return total
+
+    return walk(0)
+
+
 # ------------------------------------------------------------------ isotopy
 
 @lru_cache(maxsize=None)

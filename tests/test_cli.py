@@ -193,6 +193,22 @@ def test_census_full_only(capsys):
     assert rc == 0 and out == "field,value\nfull,12\n"
 
 
+@pytest.mark.parametrize("argv, stdin, expected", [
+    (["census", "--z", "1^3,1^3,1^3", "--full-only"], "", "12\n"),
+    (["census", "--z", "1^3,1^3,1^3", "--full-only", "--csv"], "", "field,value\nfull,12\n"),
+    (["complete", "--theta", "(1 2);(1 2);()", "--pls", "-", "--count"], "1 2\n2 1\n",
+     "completable, count 1\n"),
+    (["complete", "--theta", FLIP_3, "--pls", "-"], COUNTEREXAMPLE_3, "not completable\n"),
+], ids=["full-only", "full-only-csv", "complete-count", "complete"])
+def test_full_count_and_complete_diagnostics_go_to_stderr(capsys, monkeypatch,
+                                                          argv, stdin, expected):
+    # no node count: neither search reports one
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    rc, out, err = run(capsys, argv)
+    assert rc == 0 and out == expected
+    assert re.fullmatch(r"diagnostics: elapsed \d+\.\d{3}s, peak_rss \d+\.\d MB\n", err)
+
+
 def test_census_budget_abort_exit_code(capsys):
     rc, _, err = run(capsys, ["census", "--z", "1^4,1^4,1^4",
                               "--max-nodes", "1000"])

@@ -14,6 +14,7 @@ from latinsym.pls_core import (
     Isotopism,
     OrderLimitError,
     PartialLatinSquare,
+    TripleOrbit,
     apply_isotopism,
     autotopism_group,
     canonical_isotopism,
@@ -21,6 +22,7 @@ from latinsym.pls_core import (
 )
 from latinsym import orbit_enum
 from latinsym.budget import _Budget
+from latinsym.completion import count_completions, is_theta_completable
 from latinsym.orbit_enum import (
     CoverCounter,
     NodeBudgetExceededError,
@@ -115,6 +117,75 @@ def test_orbit_subsets_are_invariant_squares():
             Q = PartialLatinSquare(t.degree, cells)  # validates Latin condition
             assert is_autotopism(t, Q)
         assert seen == delta_census(t).total
+
+
+def test_equal_isotopisms_share_one_valid_orbit_set():
+    t = canonical_isotopism(EXAMPLE)
+    ovs = build_valid_orbits(t)
+    assert build_valid_orbits(canonical_isotopism(EXAMPLE)) is ovs
+    images = ";".join("[" + ",".join(map(str, p.images)) + "]" for p in t.components)
+    assert build_valid_orbits(Isotopism.parse(images)) is ovs
+    conjugate = random_conjugate(random.Random(3), t)
+    assert conjugate != t
+    other = build_valid_orbits(conjugate)
+    assert other is not ovs and other.orbits != ovs.orbits
+    assert other.lengths == ovs.lengths
+
+
+def test_valid_orbits_cross_check_rejects_repeated_pairs(monkeypatch):
+    # an orbit that passes the lcm test but repeats a (row, col) pair; a
+    # kept set for the identity would skip the build and so the check
+    build_valid_orbits.cache_clear()
+    bad = TripleOrbit(((1, 1, 1), (1, 1, 2)))
+    monkeypatch.setattr(orbit_enum, "triple_orbits", lambda t: [bad])
+    with pytest.raises(AssertionError, match="repeated coordinate pairs"):
+        build_valid_orbits(Isotopism.identity(2))
+
+
+def seeded_invariant_square(rng: random.Random, t: Isotopism, size: int) -> frozenset:
+    """Whole orbits of t's triples in a seeded order, each kept when the
+    cells stay a partial Latin square of at most size cells."""
+    n = t.degree
+    theta = (t.alpha.images, t.beta.images, t.gamma.images)
+    triples = [(r, c, s) for r in range(1, n + 1) for c in range(1, n + 1)
+               for s in range(1, n + 1)]
+    rng.shuffle(triples)
+    cells: frozenset = frozenset()
+    for triple in triples:
+        orbit = frozenset([triple])
+        while (grown := orbit | oracles.act(theta, orbit)) != orbit:
+            orbit = grown
+        candidate = cells | orbit
+        views = ({(r, c) for r, c, _ in candidate}, {(r, s) for r, _, s in candidate},
+                 {(c, s) for _, c, s in candidate})
+        if len(candidate) <= size and all(len(v) == len(candidate) for v in views):
+            cells = candidate
+    return cells
+
+
+def test_completion_answers_do_not_depend_on_kept_valid_orbits():
+    # each answer once from a fresh build before every call and once from
+    # the kept set, both checked against the independent completion counter
+    rng = random.Random(29)
+    seen = set()
+    for spec, size in (("1^3,1^3,1^3", 3), ("2.1,2.1,2.1", 3),
+                       ("1^4,1^4,1^4", 6), ("2^2,2^2,2^2", 6),
+                       ("1^5,1^5,1^5", 7), ("2^2.1,2^2.1,2^2.1", 9), ("5,5,5", 5)):
+        t = rep_of(spec)
+        theta = (t.alpha.images, t.beta.images, t.gamma.images)
+        for _ in range(4):
+            P = PartialLatinSquare(t.degree, seeded_invariant_square(rng, t, size))
+            expected = oracles.count_invariant_completions(theta, P.cells, t.degree)
+            fresh = []
+            for ask in (count_completions, is_theta_completable):
+                build_valid_orbits.cache_clear()
+                fresh.append(ask(t, P))
+            hits = build_valid_orbits.cache_info().hits
+            kept = [count_completions(t, P), is_theta_completable(t, P)]
+            assert build_valid_orbits.cache_info().hits == hits + 2
+            assert fresh == kept == [expected, expected > 0], (spec, sorted(P.cells))
+            seen.add(expected > 0)
+    assert seen == {True, False}
 
 
 # ----------------------------------------------------------------------
