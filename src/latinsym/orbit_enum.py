@@ -29,10 +29,14 @@ they set up before the loop:
 
 At a row boundary that no valid orbit crosses, states that a relabelling
 of the fixed columns of beta and the fixed symbols of gamma relates are
-merged (_row_merge), unless the count starts from placed orbits or keeps
-its levels.  The uncapped census of 1^4 then expands 6,283 states, where it
-expanded 366,614, and at the four boundaries of 1^5 the merge leaves 6,
-290, 4,908 and 19,286 states of 1,546, 5,961, 109,905 and 600,410.
+merged (_row_merge), unless the count keeps its levels.  A count from
+placed orbits relabels only the columns and symbols they leave unused.
+The uncapped census of 1^4 then expands 6,283 states, where it expanded
+366,614, and at the four boundaries of 1^5 the merge leaves 6, 290, 4,908
+and 19,286 states of 1,546, 5,961, 109,905 and 600,410.  The completions
+of one cell under the identity take about 0.06 s at order 6 (135,475,200)
+and 3.6 to 4 s at order 7 (8,782,774,272,000 = |LS_7|/7); unmerged, the
+first took 17 s and the second stopped at the ceiling at cell 14.
 
 Every table a search keeps, the level being read beside the one being built
 included, is charged to its budget (_Budget.held); one that would take the
@@ -282,29 +286,46 @@ def _orbit_groups(ovs: ValidOrbitSet, pre: int
     return groups, ahead
 
 
-def _row_merge(ovs: ValidOrbitSet):
-    """(cells, merge) for merging DP states under fixed-point relabellings:
-    the DP replaces its level with merge(level) before each cell in cells.
+def _row_merge(ovs: ValidOrbitSet, pre: int):
+    """(cells, merge) for merging the states of a DP from the packed state
+    pre under fixed-point relabellings: the DP replaces its level with
+    merge(level) before each cell in cells.
 
-    cells holds r*n for every row boundary r that no valid orbit crosses,
-    and is empty when no two fixed columns or fixed symbols can be swapped.
-    There no placed orbit touches a later row, so a state's bits are column-
-    symbol pairs only.  A relabelling (id, delta, epsilon), delta permuting
-    the fixed columns of beta and epsilon the fixed symbols of gamma,
-    commutes with t, fixes every row and maps valid orbits to valid orbits
-    of the same length; so it maps the fillings of the rows ahead one-to-one
-    and keeps their sizes, and states it relates may share one entry.
+    The lanes are the fixed columns of beta that no pair of pre holds and
+    the fixed symbols of gamma that none holds (read off pre's rc and rs
+    bits).  cells holds r*n for every row boundary r that no valid orbit
+    crosses, and is empty when fewer than two lanes are free on both sides.
+    There an orbit placed in the rows before touches no later row, so a
+    state's bits are column-symbol pairs and pre's pairs in the rows ahead.
+    A relabelling sigma = (id, delta, epsilon), delta permuting the lane
+    columns and epsilon the lane symbols, commutes with t, fixes every row
+    and maps valid orbits to valid orbits of the same length.  delta fixes
+    every column pre uses and epsilon every symbol, so sigma fixes pre's
+    three masks and maps the orbits that _orbit_groups(ovs, pre) keeps,
+    those compatible with pre, onto themselves.  So it maps the fillings of
+    the rows ahead one-to-one and keeps their sizes, and states it relates
+    may share one entry; on a state it moves only the cs lanes, which merge
+    sorts.  Fixing only the columns of pre's cells in the rows ahead is not
+    enough: _orbit_groups drops every orbit that conflicts with pre in any
+    row, so the keys no longer carry the bits that tell such columns apart.
+    That rule got 120 of the 216 single cells of orders 3 to 5 wrong.
 
     merge(level) applies such a relabelling to each state, adding the values
-    of states brought to one key: it sorts the fixed column lanes of the cs
-    matrix, then its fixed symbol lanes, until neither changes.  Both sorts
+    of states brought to one key: it sorts the lane columns of the cs
+    matrix, then its lane symbols, until neither changes.  Both sorts
     raise sum(m[c][s] 2^(c+s)) whenever they move a lane, so the loop ends.
     It may miss a merge, which costs only speed.
     """
     n = ovs.n
     N = n * n
-    fc = [2 * N + (c - 1) * n for c in ovs.fixed_cols]  # column lane shifts
-    fs = [s - 1 for s in ovs.fixed_syms]  # symbol lane shifts
+    lane = (1 << n) - 1
+    used_cols = used_syms = 0  # bit c-1 (s-1): some pair of pre holds column c (symbol s)
+    for r in range(n):
+        used_cols |= pre >> r * n & lane
+        used_syms |= pre >> N + r * n & lane
+    fc = [2 * N + (c - 1) * n for c in ovs.fixed_cols
+          if not used_cols >> c - 1 & 1]  # column lane shifts
+    fs = [s - 1 for s in ovs.fixed_syms if not used_syms >> s - 1 & 1]  # symbol lane shifts
     if len(fc) < 2 and len(fs) < 2:
         return (), None
     crossed = 0
@@ -313,7 +334,6 @@ def _row_merge(ovs: ValidOrbitSet):
         first, last = ((rc & -rc).bit_length() - 1) // n, (rc.bit_length() - 1) // n
         crossed |= (1 << last + 1) - (2 << first)  # boundaries first+1..last
     cells = {r * n for r in range(1, n) if not crossed >> r & 1}
-    lane = (1 << n) - 1
     spread = sum(1 << 2 * N + c * n for c in range(n))  # one bit per column
     col_clear = ~sum(lane << sh for sh in fc)
     sym_clear = ~sum(spread << sh for sh in fs)
@@ -390,9 +410,9 @@ def _levels(ovs: ValidOrbitSet, pre: int, budget: _Budget,
     cost = _entry_costs(groups, ovs.lengths, width, cap or 0)
     spend = budget.spend
     base = budget.held  # the caller's tables, and the levels kept in trail
-    # pre places orbits in later rows, and _cover_steps recomputes the
-    # successors of each kept state, which a merge would relabel
-    merge_at, merge = _row_merge(ovs) if not pre and trail is None else ((), None)
+    # _cover_steps recomputes the successors of each kept state, which a
+    # merge would relabel; a merge from pre fixes pre's columns and symbols
+    merge_at, merge = _row_merge(ovs, pre) if trail is None else ((), None)
     level = {pre & ahead[0]: 1}
     for p in range(N):
         if p in merge_at:

@@ -6,6 +6,7 @@ import random
 import time
 import tracemalloc
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -142,13 +143,17 @@ def test_valid_orbits_cross_check_rejects_repeated_pairs(monkeypatch):
         build_valid_orbits(Isotopism.identity(2))
 
 
-def seeded_invariant_square(rng: random.Random, t: Isotopism, size: int) -> frozenset:
+def seeded_invariant_square(rng: random.Random, t: Isotopism, size: int,
+                            completable: bool = False, spare=((), ())) -> frozenset:
     """Whole orbits of t's triples in a seeded order, each kept when the
-    cells stay a partial Latin square of at most size cells."""
+    cells stay a partial Latin square of at most size cells, and with
+    completable, one that some invariant full square contains.  No triple
+    uses a column or symbol of spare = (columns, symbols); those must be
+    fixed by t, so that whole orbits stay clear of them."""
     n = t.degree
     theta = (t.alpha.images, t.beta.images, t.gamma.images)
     triples = [(r, c, s) for r in range(1, n + 1) for c in range(1, n + 1)
-               for s in range(1, n + 1)]
+               for s in range(1, n + 1) if c not in spare[0] and s not in spare[1]]
     rng.shuffle(triples)
     cells: frozenset = frozenset()
     for triple in triples:
@@ -158,7 +163,8 @@ def seeded_invariant_square(rng: random.Random, t: Isotopism, size: int) -> froz
         candidate = cells | orbit
         views = ({(r, c) for r, c, _ in candidate}, {(r, s) for r, _, s in candidate},
                  {(c, s) for _, c, s in candidate})
-        if len(candidate) <= size and all(len(v) == len(candidate) for v in views):
+        if len(candidate) <= size and all(len(v) == len(candidate) for v in views) and (
+                not completable or is_theta_completable(t, PartialLatinSquare(n, candidate))):
             cells = candidate
     return cells
 
@@ -284,19 +290,67 @@ def test_census_merge_on_conjugated_isotopisms():
 
 
 def test_row_merge_matches_unmerged_dp(monkeypatch):
-    # every order-5 structure whose states can merge, against the same DP
-    # with merging switched off, on a random conjugate
+    # every structure of orders 3 to 5 whose states can merge, against the
+    # same DP with merging switched off, on a random conjugate: the census
+    # and the full count at order 5, and at every order the completions of
+    # seeded invariant squares of one orbit up to many, which merge under
+    # the lanes their orbits leave free; at orders 3 and 4 the completions
+    # also against the independent counter.  Where the conjugate has a full
+    # square, the squares are completable, so that most counts are not 0;
+    # the larger ones spare two fixed columns or symbols, so that they can
+    # still merge.
     rng = random.Random(59)
-    cases = [z for z in enumerate_autotopism_structures(5)
-             if z.cols.count(1) > 1 or z.syms.count(1) > 1]
+    cases = []
+    for n in (3, 4, 5):
+        for z in enumerate_autotopism_structures(n):
+            if z.cols.count(1) > 1 or z.syms.count(1) > 1:
+                conj = random_conjugate(rng, canonical_isotopism(z))
+                completable = delta_full(conj) > 0
+                cols, syms = conj.beta.fixed_points(), conj.gamma.fixed_points()
+                squares = []
+                for size in (1, 1, n, 2 * n, 3 * n):
+                    spare = ((), ())
+                    if size > 1 and len(cols) > 1 and (len(syms) < 2 or rng.random() < 0.5):
+                        spare = (rng.sample(cols, 2), ())
+                    elif size > 1:
+                        spare = ((), rng.sample(syms, 2))
+                    squares.append(PartialLatinSquare(n, seeded_invariant_square(
+                        rng, conj, size, completable, spare)))
+                cases.append((z, conj, squares))
     merged = []
-    for z in cases:
-        conj = random_conjugate(rng, canonical_isotopism(z))
-        merged.append((delta_census(conj, max_size=4).per_size, delta_full(conj)))
-    monkeypatch.setattr(orbit_enum, "_row_merge", lambda ovs: ((), None))
-    for z, got in zip(cases, merged):
-        t = canonical_isotopism(z)
-        assert got == (delta_census(t, max_size=4).per_size, delta_full(t)), str(z)
+    for z, conj, squares in cases:
+        census = (delta_census(conj, max_size=4).per_size, delta_full(conj)) \
+            if z.degree == 5 else None
+        merged.append((census, [count_completions(conj, P) for P in squares]))
+    monkeypatch.setattr(orbit_enum, "_row_merge", lambda ovs, pre: ((), None))
+    for (z, conj, squares), (census, completions) in zip(cases, merged):
+        if census is not None:
+            t = canonical_isotopism(z)
+            assert census == (delta_census(t, max_size=4).per_size, delta_full(t)), str(z)
+        assert completions == [count_completions(conj, P) for P in squares], str(z)
+        if z.degree < 5:
+            theta = (conj.alpha.images, conj.beta.images, conj.gamma.images)
+            assert completions == [oracles.count_invariant_completions(theta, P.cells, z.degree)
+                                   for P in squares], str(z)
+
+
+def test_single_cell_completions_under_the_identity():
+    # every one of the n^3 single cells of an order-n square lies in |LS_n|/n
+    # Latin squares; a merge that relabelled the cell's column or symbol, or
+    # that fixed only the columns of the cells in the rows ahead, gets some
+    # of them wrong (the order-3 cell (2, 1, 3) would get 0)
+    for n, expected in ((3, 4), (4, 144), (5, 32256)):
+        t = Isotopism.identity(n)
+        for cell in product(range(1, n + 1), repeat=3):
+            got = count_completions(t, PartialLatinSquare(n, frozenset({cell})))
+            assert got == expected, (n, cell)
+
+
+def test_row_merge_reaches_a_single_cell_of_order_six(monkeypatch):
+    # unmerged, this count stops at the ceiling even at 64 MiB
+    monkeypatch.setattr(orbit_enum, "_MAX_LEVEL_BYTES", 1 << 20)
+    P = PartialLatinSquare(6, frozenset({(2, 3, 4)}))
+    assert count_completions(Isotopism.identity(6), P) == 135475200
 
 
 def test_census_max_size_prunes():
