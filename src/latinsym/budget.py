@@ -50,7 +50,7 @@ class _Budget:
     bytes the search's tables hold, each adding what it keeps and dropping
     what it frees; orbit_enum._MAX_LEVEL_BYTES caps it."""
 
-    __slots__ = ("max_nodes", "deadline", "nodes", "_tick", "held")
+    __slots__ = ("max_nodes", "deadline", "nodes", "held")
 
     def __init__(self, max_nodes: Optional[int], timeout_secs: Optional[float]):
         if max_nodes is not None and max_nodes < 0:
@@ -58,16 +58,13 @@ class _Budget:
         self.max_nodes = max_nodes if max_nodes is not None else _UNBOUNDED
         self.deadline = deadline_after(timeout_secs)
         self.nodes = 0
-        self._tick = 0
         self.held = 0
 
     def spend(self) -> None:
         self.nodes += 1
         if self.nodes > self.max_nodes:
             raise NodeBudgetExceededError(f"node budget {self.max_nodes} exhausted")
-        self._tick += 1
-        if self.deadline is not None and self._tick >= 4096:
-            self._tick = 0
+        if self.deadline is not None and self.nodes & 4095 == 0:
             check_deadline(self.deadline)
 
     def check_time(self) -> None:

@@ -224,17 +224,12 @@ def cmd_complete(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_export(args: argparse.Namespace) -> int:
-    if args.format == "ideal" and args.raw:
-        raise ValueError("--raw applies only to --format lp")
-    if args.format == "lp" and args.skip_zero:
-        raise ValueError("--skip-zero applies only to --format ideal")
-    t = _resolve_isotopism(args)
-    model = WeightedModel(t.degree, t, target_size=args.m)
+    model = WeightedModel(_resolve_isotopism(args), target_size=args.m)
     if args.format == "ideal":
-        text = export_ideal(model, skip_zero_generators=args.skip_zero)
+        text = export_ideal(model)
         summary = f"{len(text.splitlines())} generators"
     else:
-        text = export_ip(model, raw_symmetry=args.raw)
+        text = export_ip(model)
         rows = len(re.findall(r"^ (?:cs|rs|rc|sym|size)\w*:", text, flags=re.M))
         summary = f"{rows} constraint rows"
     if args.output == "-":
@@ -370,10 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_selector(p)
     p.add_argument("--m", type=int, default=None, help="target size constraint")
     p.add_argument("--format", choices=("lp", "ideal"), default="lp")
-    p.add_argument("--raw", action="store_true",
-                   help="LP only: one symmetry equality per moved triple")
-    p.add_argument("--skip-zero", action="store_true",
-                   help="ideal only: drop identically zero generators")
     p.add_argument("-o", "--output", default="-", metavar="FILE",
                    help="output path; '-' writes stdout")
     p.set_defaults(func=cmd_export)

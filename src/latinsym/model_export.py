@@ -2,12 +2,14 @@
 
 The invariant squares of an isotopism are exactly the 0/1 points of a small
 linear system: one binary x_r_c_s per cell-symbol choice, at-most-one rows
-for the three coordinate-pair families, an equality tying each variable to
-its image under the isotopism, and optionally a size row.  This module
-writes that system as LP text, writes the equivalent polynomial ideal (the
+for the three coordinate-pair families, equalities tying the variables of
+each triple orbit together, and optionally a size row.  This module writes
+that system as LP text, writes the equivalent polynomial ideal (the
 quadratic form of the same constraints), and decodes 0/1 assignments coming
-back from an external solver.  Counting stays in orbit_enum; nothing here
-solves anything.
+back from an external solver.  Each form has one layout: the LP ties each
+orbit as a chain of equalities, and the ideal keeps a literal 0 generator
+for each fixed triple.  Counting stays in orbit_enum; nothing here solves
+anything.
 """
 
 from __future__ import annotations
@@ -26,31 +28,31 @@ from .pls_core import Isotopism, PartialLatinSquare, triple_orbits
 
 @dataclass
 class WeightedModel:
-    """An order, an isotopism, an optional target size, and objective weights.
+    """An isotopism, an optional target size, and objective weights; the
+    model's order is the isotopism's degree.
 
     Weights only shape the exported objective; feasibility, and therefore
-    every count in this package, ignores them.
+    every count in this package, ignores them.  Each is a finite int or
+    float, since it is written into the LP text as it prints.
     """
 
-    order: int
     isotopism: Isotopism
     target_size: Optional[int] = None
     weights: dict[tuple[int, int, int], float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        n = self.order
+        n = self.isotopism.degree
         if n < 1:
             raise ValueError("order must be positive")
-        if self.isotopism.degree != n:
-            raise ValueError(
-                f"isotopism acts on {self.isotopism.degree} points, model order is {n}"
-            )
         if self.target_size is not None and not 1 <= self.target_size <= n * n:
             raise ValueError(f"target size must lie in 1..{n * n}")
-        for key in self.weights:
+        for key, w in self.weights.items():
             r, c, s = key
             if not (1 <= r <= n and 1 <= c <= n and 1 <= s <= n):
                 raise ValueError(f"weight key {key} out of range for order {n}")
+            if (isinstance(w, bool) or not isinstance(w, (int, float))
+                    or not abs(w) < float("inf")):
+                raise ValueError(f"weight {w!r} at {key} is not a finite number")
 
     def weight(self, r: int, c: int, s: int) -> float:
         return self.weights.get((r, c, s), 0)
@@ -108,7 +110,7 @@ def _wrapped(prefix: str, terms: list[str], tail: str) -> list[str]:
 
 def _weight_terms(model: WeightedModel) -> list[str]:
     terms = []
-    for i, (r, c, s) in enumerate(_triples(model.order)):
+    for i, (r, c, s) in enumerate(_triples(model.isotopism.degree)):
         w = model.weight(r, c, s)
         name = variable_name(r, c, s)
         if i == 0:
@@ -120,18 +122,17 @@ def _weight_terms(model: WeightedModel) -> list[str]:
     return terms
 
 
-def export_ip(model: WeightedModel, *, raw_symmetry: bool = False) -> str:
+def export_ip(model: WeightedModel) -> str:
     """The invariant-square system as fixed-format LP text.
 
     Rows appear family by family: at-most-one over rows for each column and
     symbol, over columns for each row and symbol, over symbols for each cell,
-    then the symmetry equalities, then the optional size row.  With
-    raw_symmetry the symmetry block lists one equality per moved triple, the
-    literal way the system is usually written down; the default emits each
-    orbit as a chain without the implied closing equation.
+    then the symmetry equalities, then the optional size row.  The symmetry
+    block ties each triple orbit as a chain, each triple equal to the next,
+    without the implied closing equation.
     """
-    n = model.order
     t = model.isotopism
+    n = t.degree
     out: list[str] = ["Minimize"]
     out += _wrapped(" obj: ", _weight_terms(model), "")
     out.append("Subject To")
@@ -140,21 +141,12 @@ def export_ip(model: WeightedModel, *, raw_symmetry: bool = False) -> str:
         terms = [variable_name(*triple) for triple in triples]
         out += _wrapped(f" {label}: ", _join_plain(terms), " <= 1")
 
-    if raw_symmetry:
-        for triple in _triples(n):
-            image = t.apply_triple(triple)
-            if image == triple:
-                continue
-            a = variable_name(*triple)
-            b = variable_name(*image)
-            out.append(f" sym_{triple[0]}_{triple[1]}_{triple[2]}: {a} - {b} = 0")
-    else:
-        for k, orbit in enumerate(triple_orbits(t)):
-            cells = orbit.triples
-            for step in range(len(cells) - 1):
-                a = variable_name(*cells[step])
-                b = variable_name(*cells[step + 1])
-                out.append(f" sym_{k + 1}_{step + 1}: {a} - {b} = 0")
+    for k, orbit in enumerate(triple_orbits(t)):
+        cells = orbit.triples
+        for step in range(len(cells) - 1):
+            a = variable_name(*cells[step])
+            b = variable_name(*cells[step + 1])
+            out.append(f" sym_{k + 1}_{step + 1}: {a} - {b} = 0")
 
     if model.target_size is not None:
         terms = [variable_name(r, c, s) for (r, c, s) in _triples(n)]
@@ -177,18 +169,17 @@ def _join_plain(names: list[str]) -> list[str]:
 # Polynomial ideal text
 # ----------------------------------------------------------------------
 
-def export_ideal(model: WeightedModel, *, skip_zero_generators: bool = False) -> str:
+def export_ideal(model: WeightedModel) -> str:
     """The same feasible set as the vanishing locus of quadratic generators.
 
     Six families, one generator per line: the at-most-one quadratics for the
     three coordinate-pair families, the idempotents, the symmetry
     differences, and the size equation.  A symmetry difference at a fixed
     triple is identically zero; it is kept as a literal 0 line so the
-    generator count stays at 2n^3 + 3n^2 + 1, unless skip_zero_generators
-    drops such lines.
+    generator count stays at 2n^3 + 3n^2 + 1.
     """
-    n = model.order
     t = model.isotopism
+    n = t.degree
     m = model.target_size
     if m is None:
         raise ValueError("the ideal form needs a target size")
@@ -204,10 +195,9 @@ def export_ideal(model: WeightedModel, *, skip_zero_generators: bool = False) ->
     for triple in _triples(n):
         image = t.apply_triple(triple)
         if image == triple:
-            if not skip_zero_generators:
-                lines.append("0")
-            continue
-        lines.append(f"{ideal_variable(*triple)}-{ideal_variable(*image)}")
+            lines.append("0")
+        else:
+            lines.append(f"{ideal_variable(*triple)}-{ideal_variable(*image)}")
 
     total = "+".join(ideal_variable(*triple) for triple in _triples(n))
     lines.append(f"{m}-({total})")
@@ -218,14 +208,17 @@ def export_ideal(model: WeightedModel, *, skip_zero_generators: bool = False) ->
 # Assignment encoding and decoding
 # ----------------------------------------------------------------------
 
-_NAME_PATTERN = re.compile(r"^x[_\[](\d+)[_\]\[]+(\d+)[_\]\[]+(\d+)\]?$")
+_NAME_PATTERN = re.compile(
+    r"x_([0-9]+)_([0-9]+)_([0-9]+)|x\[([0-9]+)\]\[([0-9]+)\]\[([0-9]+)\]"
+)
 
 
 def _parse_name(name: str) -> tuple[int, int, int]:
-    match = _NAME_PATTERN.match(name)
+    """(r, c, s) of exactly x_r_c_s or x[r][c][s]; anything else is refused."""
+    match = _NAME_PATTERN.fullmatch(name)
     if not match:
         raise ValueError(f"unrecognized variable name {name!r}")
-    return tuple(int(g) for g in match.groups())  # type: ignore[return-value]
+    return tuple(int(g) for g in match.groups() if g is not None)  # type: ignore[return-value]
 
 
 def encode_square(P: PartialLatinSquare) -> dict[str, int]:

@@ -5,6 +5,7 @@ captured stdout/stderr plus the integer return code, the same contract the
 console script sees.
 """
 
+import hashlib
 import io
 import json
 import os
@@ -485,6 +486,34 @@ def test_export_size_row_counted(capsys):
     assert err == "4 constraint rows\n"
 
 
+# the first two are the cli_tables rows of perfbench/expected.json
+@pytest.mark.parametrize("argv, sha256, length", [
+    (["export", "--z", "2^3,2^3,2^3", "--format", "lp"],
+     "bb8f9dc1a6c12c38b4bd6524b30a91d289e18d6917fe479838d72aea31af05b1", 20121),
+    (["export", "--z", "2^3,2^3,2^3", "--format", "ideal", "--m", "6"],
+     "187e6d3a121805f885e5707985d9e31b3f95db23791ce42c74c519382eb6b160", 27652),
+    (["export", "--z", "3.1,3.1,3.1", "--m", "8"],
+     "1ba786ef50a80b91411a833bada50c2d31d458419dc1d12949ddfb0c93f0936a", 7180),
+], ids=["lp", "ideal-m6", "lp-m8"])
+def test_export_stdout_bytes_are_pinned(argv, sha256, length, capsys):
+    rc, out, _ = run(capsys, argv)
+    data = out.encode()
+    assert rc == 0
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (sha256, length)
+
+
+def test_export_file_bytes_are_pinned(tmp_path, capsys):
+    # three fixed triples, so three literal 0 generators
+    target = tmp_path / "model.txt"
+    rc, out, _ = run(capsys, ["export", "--z", "2.1,2.1,1^3", "--format", "ideal",
+                              "--m", "3", "-o", str(target)])
+    data = target.read_bytes()
+    assert rc == 0 and out == "82 generators\n"
+    assert data.splitlines().count(b"0") == 3
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (
+        "e1383d0eaccd271ca5f7dfb33dd64c0c6bc0fdce2ce4a61c707614ddccb41fc6", 3481)
+
+
 # ----------------------------------------------------------------------
 # reproduce
 # ----------------------------------------------------------------------
@@ -548,8 +577,8 @@ def test_reproduce_completability_table_reports_known_disagreement(capsys):
 @pytest.mark.parametrize("argv", [
     ["census", "--z", "2,2,2", "--sizes", "--full-only"],
     ["structures", "--n", "3", "--table", "--parastrophic"],
-    ["export", "--z", "2,2,1^2", "--format", "ideal", "--m", "2", "--raw"],
-    ["export", "--z", "2,2,1^2", "--format", "lp", "--skip-zero"],
+    ["export", "--z", "2,2,1^2", "--theta", "();();()"],
+    ["ccensus", "--z", "2,2,1^2", "--json", "--csv"],
 ])
 def test_conflicting_options_are_refused(argv, capsys):
     try:
@@ -559,6 +588,16 @@ def test_conflicting_options_are_refused(argv, capsys):
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert "not allowed with" in captured.err or "applies only to" in captured.err
+
+
+@pytest.mark.parametrize("option, fmt", [("--raw", ["lp"]),
+                                         ("--skip-zero", ["ideal", "--m", "2"])])
+def test_export_has_one_form_per_format(option, fmt, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["export", "--z", "2,2,1^2", "--format", *fmt, option])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"unrecognized arguments: {option}" in captured.err
 
 
 def test_unknown_subcommand_exits_two():

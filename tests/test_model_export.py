@@ -146,7 +146,7 @@ def count_feasible(text: str) -> int:
 # ----------------------------------------------------------------------
 
 def test_lp_order_one_shape():
-    text = export_ip(WeightedModel(1, Isotopism.identity(1)))
+    text = export_ip(WeightedModel(Isotopism.identity(1)))
     le_rows, eq_pairs, size_row, binaries = parse_lp(text)
     assert len(le_rows) == 3
     assert eq_pairs == []
@@ -156,7 +156,7 @@ def test_lp_order_one_shape():
 
 def test_lp_row_counts_and_sections():
     t = rep_of("2.1,2.1,2.1")
-    text = export_ip(WeightedModel(3, t))
+    text = export_ip(WeightedModel(t))
     le_rows, eq_pairs, size_row, binaries = parse_lp(text)
     assert len(le_rows) == 27
     assert len(binaries) == 27
@@ -166,34 +166,25 @@ def test_lp_row_counts_and_sections():
 
 def test_lp_symmetry_rows_pair_orbit_mates():
     t = Isotopism.parse("(1 2);(1 2);(1 2)", degree=2)
-    text = export_ip(WeightedModel(2, t))
+    text = export_ip(WeightedModel(t))
     assert " sym_1_1: x_1_1_1 - x_2_2_2 = 0" in text.splitlines()
     # the flip has no fixed triples at order 2, so four orbits of two
     assert sum(1 for line in text.splitlines() if line.lstrip().startswith("sym_")) == 4
 
 
-def test_lp_raw_symmetry_lists_every_moved_triple():
-    t = Isotopism.parse("(1 2);(1 2);(1 2)", degree=2)
-    raw = export_ip(WeightedModel(2, t), raw_symmetry=True)
-    sym_lines = [ln for ln in raw.splitlines() if ln.lstrip().startswith("sym_")]
-    assert len(sym_lines) == 8
-    ident = export_ip(WeightedModel(2, Isotopism.identity(2)), raw_symmetry=True)
-    assert not [ln for ln in ident.splitlines() if ln.lstrip().startswith("sym_")]
-
-
 def test_lp_deterministic():
     t = rep_of("2.1^2,2.1^2,2.1^2")
-    model = WeightedModel(4, t, target_size=7)
+    model = WeightedModel(t, target_size=7)
     assert export_ip(model) == export_ip(model)
-    reordered = WeightedModel(4, t, target_size=7,
+    reordered = WeightedModel(t, target_size=7,
                               weights={(2, 1, 1): 0.0, (1, 1, 1): 0.0})
-    plain = WeightedModel(4, t, target_size=7,
+    plain = WeightedModel(t, target_size=7,
                           weights={(1, 1, 1): 0.0, (2, 1, 1): 0.0})
     assert export_ip(reordered) == export_ip(plain)
 
 
 def test_lp_objective_carries_weights():
-    model = WeightedModel(2, Isotopism.identity(2),
+    model = WeightedModel(Isotopism.identity(2),
                           weights={(1, 1, 1): 2.5, (2, 2, 2): -1.0})
     obj = unfold(export_ip(model))[1]
     assert "2.5 x_1_1_1" in obj
@@ -206,12 +197,11 @@ def test_lp_objective_carries_weights():
 )
 def test_lp_feasible_points_match_census(spec):
     t = rep_of(spec)
-    n = t.degree
     census = delta_census(t)
-    text = export_ip(WeightedModel(n, t))
+    text = export_ip(WeightedModel(t))
     assert count_feasible(text) == census.total + 1  # plus the empty point
     for size, expected in sorted(census.per_size.items()):
-        sized = export_ip(WeightedModel(n, t, target_size=size))
+        sized = export_ip(WeightedModel(t, target_size=size))
         assert count_feasible(sized) == expected, (spec, size)
 
 
@@ -219,16 +209,8 @@ def test_lp_full_size_matches_full_count():
     for spec in ("2,2,1^2", "3,3,3", "2.1,2.1,2.1"):
         t = rep_of(spec)
         n = t.degree
-        text = export_ip(WeightedModel(n, t, target_size=n * n))
+        text = export_ip(WeightedModel(t, target_size=n * n))
         assert count_feasible(text) == delta_full(t), spec
-
-
-def test_lp_raw_and_chain_forms_have_equal_feasible_sets():
-    t = rep_of("3,3,1^3")
-    model = WeightedModel(3, t)
-    assert count_feasible(export_ip(model)) == count_feasible(
-        export_ip(model, raw_symmetry=True)
-    )
 
 
 def milp_feasible(text: str, ones: frozenset) -> bool:
@@ -281,7 +263,7 @@ def test_lp_milp_witness_matches_theta_completability():
     verdicts = []
     for t, cells in cases:
         n = t.degree
-        text = export_ip(WeightedModel(n, t, target_size=n * n))
+        text = export_ip(WeightedModel(t, target_size=n * n))
         verdict = is_theta_completable(t, PartialLatinSquare(n, cells))
         assert milp_feasible(text, cells) == verdict, (t, sorted(cells))
         verdicts.append(verdict)
@@ -297,26 +279,17 @@ def generator_count(n: int) -> int:
 
 
 def test_ideal_generator_counts():
-    assert len(export_ideal(WeightedModel(1, Isotopism.identity(1), target_size=1)).splitlines()) == 6
-    assert len(export_ideal(WeightedModel(2, Isotopism.identity(2), target_size=3)).splitlines()) == 29
+    assert len(export_ideal(WeightedModel(Isotopism.identity(1), target_size=1)).splitlines()) == 6
+    assert len(export_ideal(WeightedModel(Isotopism.identity(2), target_size=3)).splitlines()) == 29
     for n in (1, 2, 3, 4, 5):
         t = Isotopism.identity(n)
-        text = export_ideal(WeightedModel(n, t, target_size=1))
+        text = export_ideal(WeightedModel(t, target_size=1))
         assert len(text.splitlines()) == generator_count(n)
-
-
-def test_ideal_zero_generators_skippable():
-    model = WeightedModel(2, Isotopism.identity(2), target_size=2)
-    kept = export_ideal(model).splitlines()
-    dropped = export_ideal(model, skip_zero_generators=True).splitlines()
-    assert kept.count("0") == 8
-    assert "0" not in dropped
-    assert len(kept) - len(dropped) == 8
 
 
 def test_ideal_requires_target_size():
     with pytest.raises(ValueError):
-        export_ideal(WeightedModel(2, Isotopism.identity(2)))
+        export_ideal(WeightedModel(Isotopism.identity(2)))
 
 
 def evaluate_ideal(text: str, n: int, cells) -> list:
@@ -330,7 +303,7 @@ def test_ideal_vanishes_exactly_on_members():
     t = rep_of("2,2,1^2")
     members = list(iter_invariant_squares(t))
     for size in (2, 4):
-        text = export_ideal(WeightedModel(2, t, target_size=size))
+        text = export_ideal(WeightedModel(t, target_size=size))
         for cells in members:
             values = evaluate_ideal(text, 2, cells)
             if len(cells) == size:
@@ -338,10 +311,10 @@ def test_ideal_vanishes_exactly_on_members():
             else:
                 assert any(values)
     # a square that is not invariant violates a symmetry generator
-    text = export_ideal(WeightedModel(2, t, target_size=1))
+    text = export_ideal(WeightedModel(t, target_size=1))
     assert any(evaluate_ideal(text, 2, [(1, 1, 1)]))
     # and a repeated symbol in a row violates a quadratic
-    text_id = export_ideal(WeightedModel(2, Isotopism.identity(2), target_size=2))
+    text_id = export_ideal(WeightedModel(Isotopism.identity(2), target_size=2))
     assert any(evaluate_ideal(text_id, 2, [(1, 1, 1), (1, 2, 1)]))
 
 
@@ -370,12 +343,12 @@ def test_ideal_groebner_witness_matches_census():
         t = rep_of(spec)
         census = delta_census(t)
         for m in (1, 2, 3, 4):
-            text = export_ideal(WeightedModel(2, t, target_size=m))
+            text = export_ideal(WeightedModel(t, target_size=m))
             assert ideal_solution_count(text) == census.count(m), (spec, m)
 
 
 def test_ideal_deterministic():
-    model = WeightedModel(3, rep_of("3,3,3"), target_size=3)
+    model = WeightedModel(rep_of("3,3,3"), target_size=3)
     assert export_ideal(model) == export_ideal(model)
 
 
@@ -424,6 +397,14 @@ def test_decode_errors():
         decode_solution(2, {**good, "x[1][1][1]": 1})
     with pytest.raises(ValueError, match="out of range"):
         decode_solution(2, {**good, "x_3_1_1": 0})
+    # only x_R_C_S and x[R][C][S]: each name below stands in for x_1_2_3,
+    # and none may decode as (1, 2, 3)
+    good = encode_square(PartialLatinSquare.from_cells(3, [(1, 1, 1)]))
+    for name in ("x[1_2][3", "x_1]][2[3]", "x[1][2][3", "x_1__2_3", "x_1_2_3\n",
+                 "x[1]_2_3", "x_1_2_3]", "x_\u0661_2_3"):
+        renamed = {(name if key == "x_1_2_3" else key): v for key, v in good.items()}
+        with pytest.raises(ValueError, match="unrecognized"):
+            decode_solution(3, renamed)
 
 
 def test_decode_empty_assignment():
@@ -444,10 +425,14 @@ def test_decode_reports_latin_violation():
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        WeightedModel(0, Isotopism.identity(1))
+        WeightedModel(Isotopism.identity(0))
     with pytest.raises(ValueError):
-        WeightedModel(3, Isotopism.identity(2))
+        WeightedModel(Isotopism.identity(2), target_size=5)
     with pytest.raises(ValueError):
-        WeightedModel(2, Isotopism.identity(2), target_size=5)
-    with pytest.raises(ValueError):
-        WeightedModel(2, Isotopism.identity(2), weights={(3, 1, 1): 1.0})
+        WeightedModel(Isotopism.identity(2), weights={(3, 1, 1): 1.0})
+    # a weight is written into the LP objective as it prints
+    for w in (float("nan"), float("inf"), -float("inf"), True, "3", None):
+        with pytest.raises(ValueError, match="weight"):
+            WeightedModel(Isotopism.identity(2), weights={(1, 1, 1): w})
+    for w in (3, -2.5, 0):
+        WeightedModel(Isotopism.identity(2), weights={(1, 1, 1): w})
