@@ -6,10 +6,14 @@ completability, "export" for solver files, and "reproduce" to diff the
 computed tables against the reference data shipped with the package.
 
 Exit codes: 0 success, 2 usage or input error, 3 budget abort, 4 reference
-mismatch.  Counts are always printed in full decimal.  Timing and node
-diagnostics go to stderr so stdout stays byte-identical from run to run.
-The census counts by a frontier DP whose state is one packed integer of the
-three conflict masks; its node count is the number of DP states expanded.
+mismatch.  Counts are always printed in full decimal.  main makes one
+Budget per command from its --max-nodes and --timeout-secs and passes it to
+every search and listing the command runs.  After a command that exits 0,
+3 or 4, main prints one diagnostics line on stderr, so stdout stays
+byte-identical from run to run: the seconds since that budget was made,
+the search nodes spent on it and the peak RSS.  The census counts by a
+frontier DP whose state is one packed integer of the three conflict masks;
+its node count is the number of DP states expanded.
 census --full-only and complete --count run the same DP with plain counts
 for values, and ccensus keeps the live states of that count, those on some
 full cover, and counts by size the squares that some cover extends.
@@ -23,11 +27,10 @@ import json
 import re
 import resource
 import sys
-import time
 from importlib import resources
 from typing import Callable, Optional, Sequence
 
-from .budget import BudgetExceededError, deadline_after
+from .budget import Budget, BudgetExceededError
 from .perm_algebra import (
     IsotopismStructure,
     check_parsed_order,
@@ -63,7 +66,7 @@ def _add_selector(sub: argparse.ArgumentParser) -> None:
 
 def _add_timeout(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--timeout-secs", type=float, default=None,
-                     help="abort after this much search time")
+                     help="abort this many seconds after the command starts")
 
 
 def _add_budget(sub: argparse.ArgumentParser) -> None:
@@ -96,13 +99,12 @@ def _read_square(path: str) -> PartialLatinSquare:
     return PartialLatinSquare.parse_text(text)
 
 
-def _print_diagnostics(elapsed: float, nodes: Optional[int] = None) -> None:
-    """Print the elapsed seconds, the search nodes if counted, and the
-    process's peak RSS as one diagnostics line on stderr."""
+def _print_diagnostics(budget: Budget) -> None:
+    """Print the seconds since budget was made, the search nodes spent on
+    it, and the process's peak RSS as one diagnostics line on stderr."""
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    counted = "" if nodes is None else f", node_count {nodes} nodes"
-    print(f"diagnostics: elapsed {elapsed:.3f}s{counted}, peak_rss {peak_mb:.1f} MB",
-          file=sys.stderr)
+    print(f"diagnostics: elapsed {budget.elapsed:.3f}s, node_count {budget.nodes} nodes, "
+          f"peak_rss {peak_mb:.1f} MB", file=sys.stderr)
 
 
 def _emit(args: argparse.Namespace, z: IsotopismStructure, header: str,
@@ -123,7 +125,7 @@ def _emit(args: argparse.Namespace, z: IsotopismStructure, header: str,
 # structures
 # ----------------------------------------------------------------------
 
-def _table1_lines(upto: int, deadline: Optional[float]) -> list[str]:
+def _table1_lines(upto: int, budget: Budget) -> list[str]:
     # the reference table's columns m1..m8 cover n <= 17; larger n add more
     widest = max(8, upto // 2)
     lines = [",".join(["n", *(f"m{m}" for m in range(1, widest + 1)), "structures,classes"])]
@@ -131,27 +133,24 @@ def _table1_lines(upto: int, deadline: Optional[float]) -> list[str]:
         cells = [str(n)]
         for m in range(1, widest + 1):
             cells.append(str(cs_nm_count(n, m)) if m <= n // 2 else "")
-        cells += map(str, count_structures_and_classes(n, deadline=deadline))
+        cells += map(str, count_structures_and_classes(n, budget=budget))
         lines.append(",".join(cells))
     return lines
 
 
-def cmd_structures(args: argparse.Namespace) -> int:
+def cmd_structures(args: argparse.Namespace, budget: Budget) -> int:
     if args.n < 1:
         raise ValueError("--n must be at least 1")
     check_parsed_order(args.n)
-    started = time.monotonic()
-    deadline = deadline_after(args.timeout_secs)
     # every mode prints only once complete, so an abort leaves stdout empty
     if args.parastrophic:
-        lines = [str(z) for z in parastrophic_representatives(args.n, deadline=deadline)]
+        lines = [str(z) for z in parastrophic_representatives(args.n, budget=budget)]
     elif args.table:
-        lines = _table1_lines(args.n, deadline)
+        lines = _table1_lines(args.n, budget)
     else:
-        lines = ["{}: {}, {}".format(n, *count_structures_and_classes(n, deadline=deadline))
+        lines = ["{}: {}, {}".format(n, *count_structures_and_classes(n, budget=budget))
                  for n in range(1, args.n + 1)]
     print("\n".join(lines))
-    _print_diagnostics(time.monotonic() - started)
     return EXIT_OK
 
 
@@ -163,10 +162,9 @@ def _emit_report(args: argparse.Namespace, report) -> None:
     per_size = sorted(report.per_size.items())
     _emit(args, report.structure, "size,count", [*per_size, ("total", report.total)],
           {"per_size": {str(s): c for s, c in per_size}, "total": report.total})
-    _print_diagnostics(report.elapsed, report.node_count)
 
 
-def cmd_census(args: argparse.Namespace) -> int:
+def cmd_census(args: argparse.Namespace, budget: Budget) -> int:
     t = _resolve_isotopism(args)
     z = t.structure()
     if args.sizes:
@@ -176,23 +174,19 @@ def cmd_census(args: argparse.Namespace) -> int:
               [("lower", lower), ("upper", upper), ("sizes", " ".join(map(str, sizes)))],
               {"lower": lower, "upper": upper, "sizes": sizes})
     elif args.full_only:
-        started = time.monotonic()
-        value = delta_full(t, max_nodes=args.max_nodes, timeout_secs=args.timeout_secs)
+        value = delta_full(t, budget=budget)
         if args.json or args.csv:
             _emit(args, z, "field,value", [("full", value)], {"full": value})
         else:
             print(value)
-        _print_diagnostics(time.monotonic() - started)
     else:
-        _emit_report(args, delta_census(t, max_nodes=args.max_nodes,
-                                        timeout_secs=args.timeout_secs))
+        _emit_report(args, delta_census(t, budget=budget))
     return EXIT_OK
 
 
-def cmd_ccensus(args: argparse.Namespace) -> int:
+def cmd_ccensus(args: argparse.Namespace, budget: Budget) -> int:
     t = _resolve_isotopism(args)
-    _emit_report(args, completability_census(t, max_nodes=args.max_nodes,
-                                             timeout_secs=args.timeout_secs))
+    _emit_report(args, completability_census(t, budget=budget))
     return EXIT_OK
 
 
@@ -200,22 +194,18 @@ def cmd_ccensus(args: argparse.Namespace) -> int:
 # complete
 # ----------------------------------------------------------------------
 
-def cmd_complete(args: argparse.Namespace) -> int:
+def cmd_complete(args: argparse.Namespace, budget: Budget) -> int:
     P = _read_square(args.pls)
     if args.theta is not None and args.n is None:
         args.n = P.n
     t = _resolve_isotopism(args)
-    started = time.monotonic()
     if args.count:
-        value = count_completions(t, P, max_nodes=args.max_nodes,
-                                  timeout_secs=args.timeout_secs)
+        value = count_completions(t, P, budget=budget)
         verdict = "completable" if value else "not completable"
         print(f"{verdict}, count {value}")
     else:
-        ok = is_theta_completable(t, P, max_nodes=args.max_nodes,
-                                  timeout_secs=args.timeout_secs)
+        ok = is_theta_completable(t, P, budget=budget)
         print("completable" if ok else "not completable")
-    _print_diagnostics(time.monotonic() - started)
     return EXIT_OK
 
 
@@ -223,7 +213,7 @@ def cmd_complete(args: argparse.Namespace) -> int:
 # export
 # ----------------------------------------------------------------------
 
-def cmd_export(args: argparse.Namespace) -> int:
+def cmd_export(args: argparse.Namespace, budget: Budget) -> int:
     model = WeightedModel(_resolve_isotopism(args), target_size=args.m)
     if args.format == "ideal":
         text = export_ideal(model)
@@ -252,11 +242,11 @@ def _reference_rows(name: str) -> list[list[str]]:
         return [row for row in csv.reader(fh) if row]
 
 
-def _diff_table1() -> tuple[list[str], int]:
+def _diff_table1(budget: Budget) -> tuple[list[str], int]:
     """Compare the cells of _table1_lines with table1.csv, skipping the
     reference's empty cells."""
     header, *rows = _reference_rows("table1.csv")
-    computed = {row[0]: row for row in csv.reader(_table1_lines(17, None)[1:])}
+    computed = {row[0]: row for row in csv.reader(_table1_lines(17, budget)[1:])}
     mismatches, cells = [], 0
     for row in rows:
         for label, got, ref in zip(header[1:], computed[row[0]][1:], row[1:]):
@@ -268,9 +258,10 @@ def _diff_table1() -> tuple[list[str], int]:
     return mismatches, cells
 
 
-def _diff_census_table(name: str, census: Callable) -> tuple[list[str], int]:
-    """Compare census(t) with a reference table whose header names its z,
-    s<k> and total columns."""
+def _diff_census_table(name: str, census: Callable, budget: Budget
+                       ) -> tuple[list[str], int]:
+    """Compare census(t, budget=budget) with a reference table whose header
+    names its z, s<k> and total columns."""
     header, *rows = _reference_rows(name)
     z_col, total_col = header.index("z"), header.index("total")
     sizes = [(int(h[1:]), col) for col, h in enumerate(header)
@@ -278,7 +269,7 @@ def _diff_census_table(name: str, census: Callable) -> tuple[list[str], int]:
     mismatches, cells = [], 0
     for row in rows:
         z = IsotopismStructure.parse(row[z_col])
-        report = census(canonical_isotopism(z))
+        report = census(canonical_isotopism(z), budget=budget)
         for s, col in sizes:
             cells += 1
             ref = int(row[col] or 0)
@@ -292,15 +283,13 @@ def _diff_census_table(name: str, census: Callable) -> tuple[list[str], int]:
     return mismatches, cells
 
 
-def cmd_reproduce(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def cmd_reproduce(args: argparse.Namespace, budget: Budget) -> int:
     if args.table == 1:
-        mismatches, cells = _diff_table1()
+        mismatches, cells = _diff_table1(budget)
     elif args.table == 5:
-        mismatches, cells = _diff_census_table("table5.csv", completability_census)
+        mismatches, cells = _diff_census_table("table5.csv", completability_census, budget)
     else:
-        mismatches, cells = _diff_census_table(f"table{args.table}.csv", delta_census)
-    _print_diagnostics(time.monotonic() - started)
+        mismatches, cells = _diff_census_table(f"table{args.table}.csv", delta_census, budget)
     if mismatches:
         for line in mismatches:
             print(f"MISMATCH {line}")
@@ -381,13 +370,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # the command's one budget; export and reproduce take no bound
+        budget = Budget(getattr(args, "max_nodes", None), getattr(args, "timeout_secs", None))
+        code = args.func(args, budget)
     except BudgetExceededError as exc:
         print(f"aborted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        code = EXIT_BUDGET
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    _print_diagnostics(budget)
+    return code
 
 
 if __name__ == "__main__":

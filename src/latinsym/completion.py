@@ -24,12 +24,11 @@ of its orbits' ValidOrbitSet.masks, whose layout only orbit_enum knows.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .budget import _Budget
+from .budget import Budget
 from .pls_core import Isotopism, PartialLatinSquare, is_autotopism
 from .orbit_enum import (
     CensusReport,
@@ -96,56 +95,56 @@ def _invariant_state(t: Isotopism, P: PartialLatinSquare
 
 
 def count_completions(t: Isotopism, P: PartialLatinSquare, *,
-                      max_nodes: Optional[int] = None,
-                      timeout_secs: Optional[float] = None) -> int:
+                      budget: Optional[Budget] = None) -> int:
     """Number of invariant full squares containing P (which must be invariant)."""
     ovs, key = _invariant_state(t, P)
-    return _levels(ovs, key, _Budget(max_nodes, timeout_secs))
+    return _levels(ovs, key, budget or Budget())
 
 
 def is_theta_completable(t: Isotopism, P: PartialLatinSquare, *,
-                         max_nodes: Optional[int] = None,
-                         timeout_secs: Optional[float] = None) -> bool:
+                         budget: Optional[Budget] = None) -> bool:
     """Early-exit version of count_completions > 0."""
     ovs, key = _invariant_state(t, P)
-    return CoverCounter(ovs, _Budget(max_nodes, timeout_secs)).covers(key)
+    budget = budget or Budget()
+    held = budget.held
+    found = CoverCounter(ovs, budget).covers(key)
+    budget.held = held  # the memo goes with the counter
+    return found
 
 
 def is_completable(P: PartialLatinSquare, *,
-                   max_nodes: Optional[int] = None,
-                   timeout_secs: Optional[float] = None) -> bool:
+                   budget: Optional[Budget] = None) -> bool:
     """Plain completability, i.e. the identity-isotopism special case."""
-    return is_theta_completable(Isotopism.identity(P.n), P,
-                                max_nodes=max_nodes, timeout_secs=timeout_secs)
+    return is_theta_completable(Isotopism.identity(P.n), P, budget=budget)
 
 
 # ----------------------------------------------------------------------
 # Completability census
 # ----------------------------------------------------------------------
 
-def completability_census(t: Isotopism, *, max_nodes: Optional[int] = None,
-                          timeout_secs: Optional[float] = None) -> CensusReport:
+def completability_census(t: Isotopism, *,
+                          budget: Optional[Budget] = None) -> CensusReport:
     """Count, for each size, the invariant squares that are t-completable.
 
     A square is t-completable exactly when its orbit set is a subset of the
     orbit set of some invariant full square, so the census is the subset
     construction over the live moves of the full count.  The count is exact
-    at every order.  node_count is the full-count states expanded and read
-    back plus the sets expanded, which max_nodes bounds; budget violations
-    raise NodeBudgetExceededError / TimeBudgetExceededError, and tables that
-    would outgrow their memory ceiling StateBudgetExceededError.
+    at every order.  node_count is what this call charged to budget: the
+    full-count states expanded and read back plus the sets expanded; budget
+    violations raise NodeBudgetExceededError / TimeBudgetExceededError, and
+    tables that would outgrow their memory ceiling StateBudgetExceededError.
     """
-    started = time.monotonic()
-    budget = _Budget(max_nodes, timeout_secs)
+    budget = budget or Budget()
+    spent, held = budget.nodes, budget.held
     ovs = build_valid_orbits(t)
     _, steps = _cover_steps(ovs, budget)
     per_size = _completable_counts(ovs, steps, budget) if steps else {}
+    budget.held = held  # the steps are freed on return
     return CensusReport(
         structure=t.structure(),
         per_size=per_size,
         total=sum(per_size.values()),
-        elapsed=time.monotonic() - started,
-        node_count=budget.nodes,
+        node_count=budget.nodes - spent,
     )
 
 
@@ -182,8 +181,7 @@ def _check_shape(t: Isotopism, shape: ShapeSet) -> None:
 
 
 def basis_from_shape(t: Isotopism, shape: ShapeSet, *,
-                     max_nodes: Optional[int] = None,
-                     timeout_secs: Optional[float] = None) -> ThetaBasis:
+                     budget: Optional[Budget] = None) -> ThetaBasis:
     """The completable invariant squares whose filled pairs (in the shape's
     view) are exactly the given set, sorted by cells.
 
@@ -196,9 +194,11 @@ def basis_from_shape(t: Isotopism, shape: ShapeSet, *,
     are asserted to sum to the full count."""
     _check_shape(t, shape)
     ovs = build_valid_orbits(t)
-    budget = _Budget(max_nodes, timeout_secs)
+    budget = budget or Budget()
+    held = budget.held
     full, steps = _cover_steps(ovs, budget)
     if not full:
+        budget.held = held
         raise ValueError("the isotopism admits no invariant full square")
     i, j = _VIEW[shape.mode]
     inside = [(o.representative[i], o.representative[j]) in shape.pairs
@@ -212,6 +212,7 @@ def basis_from_shape(t: Isotopism, shape: ShapeSet, *,
         cells = frozenset({c for v in member for c in ovs.orbits[v].triples})
         elements.append(PartialLatinSquare(t.degree, cells))
         counts.append(count)
+    budget.held = held  # the steps are freed on return
     total = sum(counts)
     if total != full:
         raise AssertionError(
@@ -221,8 +222,8 @@ def basis_from_shape(t: Isotopism, shape: ShapeSet, *,
     return ThetaBasis(elements, counts, homogeneous=len(set(counts)) == 1)
 
 
-def homogeneous_basis(t: Isotopism, *, max_nodes: Optional[int] = None,
-                      timeout_secs: Optional[float] = None) -> ThetaBasis:
+def homogeneous_basis(t: Isotopism, *,
+                      budget: Optional[Budget] = None) -> ThetaBasis:
     """The fixed-rows x fixed-columns basis.
 
     Requires fixed points in all three components and at least one invariant
@@ -236,8 +237,7 @@ def homogeneous_basis(t: Isotopism, *, max_nodes: Optional[int] = None,
     pairs = frozenset(
         (r, c) for r in t.alpha.fixed_points() for c in t.beta.fixed_points()
     )
-    basis = basis_from_shape(t, ShapeSet(pairs, "RC"),
-                             max_nodes=max_nodes, timeout_secs=timeout_secs)
+    basis = basis_from_shape(t, ShapeSet(pairs, "RC"), budget=budget)
     expected = count_latin_squares(k)
     if basis.cardinality != expected:
         raise AssertionError(

@@ -33,7 +33,8 @@ class WeightedModel:
 
     Weights only shape the exported objective; feasibility, and therefore
     every count in this package, ignores them.  Each is a finite int or
-    float, since it is written into the LP text as it prints.
+    float, since it is written into the LP text as it prints, and its key a
+    triple (r, c, s) of ints in 1..n.
     """
 
     isotopism: Isotopism
@@ -47,9 +48,10 @@ class WeightedModel:
         if self.target_size is not None and not 1 <= self.target_size <= n * n:
             raise ValueError(f"target size must lie in 1..{n * n}")
         for key, w in self.weights.items():
-            r, c, s = key
-            if not (1 <= r <= n and 1 <= c <= n and 1 <= s <= n):
-                raise ValueError(f"weight key {key} out of range for order {n}")
+            if not (isinstance(key, tuple) and len(key) == 3 and all(
+                    isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= n
+                    for v in key)):
+                raise ValueError(f"weight key {key!r} is not a triple of ints in 1..{n}")
             if (isinstance(w, bool) or not isinstance(w, (int, float))
                     or not abs(w) < float("inf")):
                 raise ValueError(f"weight {w!r} at {key} is not a finite number")
@@ -114,11 +116,9 @@ def _weight_terms(model: WeightedModel) -> list[str]:
         w = model.weight(r, c, s)
         name = variable_name(r, c, s)
         if i == 0:
-            terms.append(f"{w} {name}" if w >= 0 else f"-{abs(w)} {name}")
-        elif w >= 0:
-            terms.append(f"+ {w} {name}")
-        else:
-            terms.append(f"- {abs(w)} {name}")
+            terms.append(f"{w} {name}")
+        else:  # abs writes a -0.0 weight as "+ 0.0"
+            terms.append(f"{'+' if w >= 0 else '-'} {abs(w)} {name}")
     return terms
 
 

@@ -39,7 +39,7 @@ and 3.6 to 4 s at order 7 (8,782,774,272,000 = |LS_7|/7); unmerged, the
 first took 17 s and the second stopped at the ceiling at cell 14.
 
 Every table a search keeps, the level being read beside the one being built
-included, is charged to its budget (_Budget.held); one that would take the
+included, is charged to its budget (Budget.held); one that would take the
 charge past _MAX_LEVEL_BYTES aborts with StateBudgetExceededError.
 CoverCounter, a memoized exact-cover search on the same packed states, only
 decides whether a cover exists, where its early exit beats a full DP pass.
@@ -53,7 +53,6 @@ of order 17 and 23.5 MiB for order 34.
 
 from __future__ import annotations
 
-import time
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -62,10 +61,10 @@ from math import factorial, gcd, lcm, prod
 from typing import Iterator, NamedTuple, Optional
 
 from .budget import (  # the searches' errors, importable from here too
+    Budget,
     NodeBudgetExceededError,
     StateBudgetExceededError,
     TimeBudgetExceededError,
-    _Budget,
 )
 from .perm_algebra import (
     IsotopismStructure,
@@ -81,7 +80,7 @@ from .pls_core import (
     triple_orbits,
 )
 
-# Most bytes one search's tables may hold together (_Budget.held): the DP
+# Most bytes one search's tables may hold together (Budget.held): the DP
 # level being read and the one being built, the kept levels and live steps
 # of the full count, the two levels of sets of the completability census,
 # and the cover memo.  Each entry is charged _ENTRY_BYTES, one cost for
@@ -98,7 +97,7 @@ _MAX_LEVEL_BYTES = 320 << 20
 _ENTRY_BYTES = 100
 
 
-def _overflow(budget: _Budget, what: str) -> StateBudgetExceededError:
+def _overflow(budget: Budget, what: str) -> StateBudgetExceededError:
     """The error for a table, said by what, that would take budget.held
     past _MAX_LEVEL_BYTES."""
     return StateBudgetExceededError(
@@ -252,12 +251,13 @@ def candidate_sizes(z: IsotopismStructure) -> set[int]:
 
 @dataclass
 class CensusReport:
-    """Per-size counts of non-empty invariant squares for one isotopism."""
+    """Per-size counts of non-empty invariant squares for one isotopism;
+    node_count is the search nodes that the call that made it charged to
+    its budget, also when other searches share that budget."""
 
     structure: IsotopismStructure
     per_size: dict[int, int]
     total: int
-    elapsed: float
     node_count: int
 
     def count(self, size: int) -> int:
@@ -387,7 +387,7 @@ def _size_counts(poly: int, width: int) -> dict[int, int]:
             if (c := (poly >> width * s) & digit)}
 
 
-def _levels(ovs: ValidOrbitSet, pre: int, budget: _Budget,
+def _levels(ovs: ValidOrbitSet, pre: int, budget: Budget,
             cap: Optional[int] = None, trail: Optional[list] = None):
     """The frontier DP of this module from the packed state pre.  With cap,
     the census: values are size polynomials cut at size cap, and the result
@@ -459,46 +459,44 @@ def _levels(ovs: ValidOrbitSet, pre: int, budget: _Budget,
 
 
 def delta_census(t: Isotopism, *, max_size: Optional[int] = None,
-                 max_nodes: Optional[int] = None,
-                 timeout_secs: Optional[float] = None) -> CensusReport:
+                 budget: Optional[Budget] = None) -> CensusReport:
     """Count the non-empty invariant squares of t, grouped by size.
 
     max_size restricts the census to sizes <= max_size (the DP drops every
     partial square above it, so small caps are fast even for huge full
-    censuses).  max_nodes bounds the DP states expanded; budget violations
-    raise NodeBudgetExceededError / TimeBudgetExceededError.  Counts are exact.
+    censuses).  The DP states expanded are charged to budget, and
+    node_count is what this call charged; budget violations raise
+    NodeBudgetExceededError / TimeBudgetExceededError.  Counts are exact.
     """
-    started = time.monotonic()
+    budget = budget or Budget()
+    spent = budget.nodes
     n = t.degree
     ovs = build_valid_orbits(t)
     cap = n * n if max_size is None else max(0, min(max_size, n * n))
-    budget = _Budget(max_nodes, timeout_secs)
     counts = _levels(ovs, 0, budget, cap)
     return CensusReport(
         structure=t.structure(),
         per_size=counts,
         total=sum(counts.values()),
-        elapsed=time.monotonic() - started,
-        node_count=budget.nodes,
+        node_count=budget.nodes - spent,
     )
 
 
-def delta_full(t: Isotopism, *, max_nodes: Optional[int] = None,
-               timeout_secs: Optional[float] = None) -> int:
+def delta_full(t: Isotopism, *, budget: Optional[Budget] = None) -> int:
     """Number of full Latin squares invariant under t.
 
     Counted by the frontier DP's full count rather than by running the
-    whole census and reading off the top size.  max_nodes bounds the DP
-    states expanded.
+    whole census and reading off the top size.  The DP states expanded
+    are charged to budget.
     """
-    return _levels(build_valid_orbits(t), 0, _Budget(max_nodes, timeout_secs))
+    return _levels(build_valid_orbits(t), 0, budget or Budget())
 
 
 # ----------------------------------------------------------------------
 # The live states of the full count, and two walks over them
 # ----------------------------------------------------------------------
 
-def _cover_steps(ovs: ValidOrbitSet, budget: _Budget):
+def _cover_steps(ovs: ValidOrbitSet, budget: Budget):
     """(the number of full covers, steps): the moves between the live states
     of the full count, those that some full cover passes through.
 
@@ -542,7 +540,7 @@ def _cover_steps(ovs: ValidOrbitSet, budget: _Budget):
     return found, steps
 
 
-def _completable_counts(ovs: ValidOrbitSet, steps, budget: _Budget
+def _completable_counts(ovs: ValidOrbitSet, steps, budget: Budget
                         ) -> dict[int, int]:
     """Number of non-empty squares by size that some full cover extends,
     steps being the live moves of ovs.
@@ -593,7 +591,7 @@ def _completable_counts(ovs: ValidOrbitSet, steps, budget: _Budget
     return _size_counts(level.get(1, 0), width)
 
 
-def _projected_covers(steps, inside: list[bool], budget: _Budget
+def _projected_covers(steps, inside: list[bool], budget: Budget
                       ) -> Iterator[tuple[list[int], int]]:
     """(orbits, covers) for each set of orbits i with inside[i] that some
     full cover of steps holds, orbits in increasing order, and the number
@@ -643,7 +641,7 @@ class CoverCounter:
     whose nodes are the search states and DP states expanded.
     """
 
-    def __init__(self, ovs: ValidOrbitSet, budget: Optional[_Budget] = None):
+    def __init__(self, ovs: ValidOrbitSet, budget: Optional[Budget] = None):
         self.ovs = ovs
         N = ovs.n * ovs.n
         self.cells = (1 << N) - 1
@@ -657,7 +655,7 @@ class CoverCounter:
                 by_cell[low.bit_length() - 1].append(mask)
                 m ^= low
         self.by_cell = by_cell
-        self.budget = budget or _Budget(None, None)
+        self.budget = budget or Budget()
         self._can_memo: dict[int, bool] = {}
 
     def _candidates(self, key: int) -> list[int]:

@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .budget import check_deadline
+from .budget import Budget
 
 
 # ----------------------------------------------------------------------
@@ -401,22 +401,21 @@ def partitions_desc(n: int, max_part: Optional[int] = None) -> list[tuple[int, .
     bound = n if max_part is None else min(max_part, n)
     if bound < 1:  # only 0 has a partition without parts
         return [()] if n == 0 else []
-    return list(_partitions(n, bound))
+    return list(_partitions(n, bound, Budget()))
 
 
-def _partitions(n: int, bound: int, deadline: Optional[float] = None
-                ) -> Iterator[tuple[int, ...]]:
+def _partitions(n: int, bound: int, budget: Budget) -> Iterator[tuple[int, ...]]:
     """The partitions of n >= 1 into parts <= bound, bound >= 1, in
     descending lexicographic order, by algorithm ZS1 (Zoghbi and
     Stojmenovic, 1998): x[h] is the last part above 1, and every entry after
-    it is 1.  Past the deadline, TimeBudgetExceededError is raised."""
+    it is 1.  Past the budget's deadline, TimeBudgetExceededError is raised."""
     q, r = divmod(n, bound)
     x = [bound] * q + [r] * (r > 0) + [1] * n
     m = q + (r > 0)  # the number of parts
     h = q - (r < 2) if bound > 1 else -1
     yield tuple(x[:m])
     while x[0] != 1:
-        check_deadline(deadline)
+        budget.check_time()
         if x[h] == 2:  # 2 becomes 1 + 1
             x[h] = 1
             m += 1
@@ -504,19 +503,19 @@ def _length_masks(n: int, rows: Iterable[int]) -> list[int]:
     return out
 
 
-def enumerate_autotopism_structures(n: int, *, deadline: Optional[float] = None
+def enumerate_autotopism_structures(n: int, *, budget: Optional[Budget] = None
                                      ) -> list[IsotopismStructure]:
     """All admissible structures of order n.
 
     Components iterate over partitions in descending lexicographic order, the
     triple in row-major order over that sequence; the output order is part of
     the contract (the reference CSVs and the CLI listings rely on it).  Past
-    the time.monotonic() instant deadline, TimeBudgetExceededError is raised.
+    the budget's deadline, TimeBudgetExceededError is raised.
     """
-    return list(_admissible_structures(n, deadline, ascending=False))
+    return list(_admissible_structures(n, budget or Budget(), ascending=False))
 
 
-def parastrophic_representatives(n: int, *, deadline: Optional[float] = None
+def parastrophic_representatives(n: int, *, budget: Optional[Budget] = None
                                  ) -> Iterator[IsotopismStructure]:
     """One admissible structure of order n per parastrophic class: its
     first member in the order of enumerate_autotopism_structures(n).
@@ -524,27 +523,27 @@ def parastrophic_representatives(n: int, *, deadline: Optional[float] = None
     That order is lexicographic in the partition indices (a, b, c) of the
     components, so the first member has a <= b <= c, and only those triples
     are walked.  The structures are made as they are iterated, so a caller
-    that keeps only their text never holds them all.  The deadline is as for
+    that keeps only their text never holds them all.  The budget is as for
     enumerate_autotopism_structures.
     """
-    return _admissible_structures(n, deadline, ascending=True)
+    return _admissible_structures(n, budget or Budget(), ascending=True)
 
 
-def _admissible_structures(n: int, deadline: Optional[float], ascending: bool
+def _admissible_structures(n: int, budget: Budget, ascending: bool
                            ) -> Iterator[IsotopismStructure]:
     """The admissible triples (a, b, c) of partition indices in lexicographic
     order; all of them, or with ascending only those with a <= b <= c."""
     if n < 1:
         raise ValueError("n must be positive")
     structs, supports = [], []
-    for parts in _partitions(n, n, deadline):
+    for parts in _partitions(n, n, budget):
         structs.append(CycleStructure.from_parts(parts, n))
         supports.append(_support_mask(parts))
     lengths = [_lengths(sb) for sb in supports]
     for a, za in enumerate(structs):
         ka = _length_masks(n, lengths[a])
         for b in range(a if ascending else 0, len(structs)):
-            check_deadline(deadline)
+            budget.check_time()
             kmask = 0  # K(A, B), the admissible symbol lengths
             for j in lengths[b]:
                 kmask |= ka[j - 1]
@@ -555,19 +554,19 @@ def _admissible_structures(n: int, deadline: Optional[float], ascending: bool
                             if supports[c] & kmask)
 
 
-def count_autotopism_structures(n: int, *, deadline: Optional[float] = None) -> int:
+def count_autotopism_structures(n: int, *, budget: Optional[Budget] = None) -> int:
     """|enumerate_autotopism_structures(n)| without materializing the
-    structures; deadline is as for count_structures_and_classes."""
-    return count_structures_and_classes(n, deadline=deadline)[0]
+    structures; budget is as for count_structures_and_classes."""
+    return count_structures_and_classes(n, budget=budget)[0]
 
 
-def count_parastrophic_classes(n: int, *, deadline: Optional[float] = None) -> int:
+def count_parastrophic_classes(n: int, *, budget: Optional[Budget] = None) -> int:
     """Number of parastrophic classes of admissible structures of order n;
-    deadline is as for count_structures_and_classes."""
-    return count_structures_and_classes(n, deadline=deadline)[1]
+    budget is as for count_structures_and_classes."""
+    return count_structures_and_classes(n, budget=budget)[1]
 
 
-def count_structures_and_classes(n: int, *, deadline: Optional[float] = None
+def count_structures_and_classes(n: int, *, budget: Optional[Budget] = None
                                  ) -> tuple[int, int]:
     """count_autotopism_structures(n) and count_parastrophic_classes(n) in
     one pass.
@@ -581,13 +580,14 @@ def count_structures_and_classes(n: int, *, deadline: Optional[float] = None
     fixes every admissible structure, a transposition those with the two
     swapped components equal, a 3-cycle those with all three equal; the
     test is symmetric, so the term B = A serves all three transpositions.
-    Past the time.monotonic() instant deadline, also while the partitions
-    are listed, TimeBudgetExceededError is raised.
+    Past the budget's deadline, also while the partitions are listed,
+    TimeBudgetExceededError is raised.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    budget = budget or Budget()
     weights: dict[int, int] = {}
-    for parts in _partitions(n, n, deadline):
+    for parts in _partitions(n, n, budget):
         mask = _support_mask(parts)
         weights[mask] = weights.get(mask, 0) + 1
     groups = [(mask, w, _lengths(mask)) for mask, w in weights.items()]
@@ -610,7 +610,7 @@ def count_structures_and_classes(n: int, *, deadline: Optional[float] = None
 
     full = two_equal = all_equal = 0
     for a_mask, wa, la in groups:
-        check_deadline(deadline)
+        budget.check_time()
         ka = _length_masks(n, la)
         va = [meets(kmask) for kmask in ka]
         row = 0

@@ -29,6 +29,11 @@ class OrderLimitError(ValueError):
     """Raised when a brute-force search is asked to run above its degree cap."""
 
 
+# The largest order the brute-force isotopism searches take: they scan all
+# (n!)^2 row and column maps, 518,400 at order 6 and 25 million at order 7.
+MAX_BRUTE_FORCE_ORDER = 5
+
+
 # ----------------------------------------------------------------------
 # Partial Latin squares
 # ----------------------------------------------------------------------
@@ -356,8 +361,8 @@ def theta_decomposition(P: PartialLatinSquare, t: Isotopism) -> BlockDecompositi
 # Brute-force searches over the isotopism group
 # ----------------------------------------------------------------------
 
-def _isotopisms_mapping(P: PartialLatinSquare, Q: PartialLatinSquare,
-                        max_order: int) -> list[Isotopism]:
+def _isotopisms_mapping(P: PartialLatinSquare, Q: PartialLatinSquare
+                        ) -> list[Isotopism]:
     """All isotopisms sending P onto Q, by scanning row/column pairs.
 
     For fixed alpha and beta the symbol permutation is pinned down on every
@@ -366,10 +371,8 @@ def _isotopisms_mapping(P: PartialLatinSquare, Q: PartialLatinSquare,
     (alpha, beta, gamma) order.
     """
     n = P.n
-    if n > max_order:
-        raise OrderLimitError(
-            f"order {n} exceeds the brute-force cap {max_order}; raise max_order to override"
-        )
+    if n > MAX_BRUTE_FORCE_ORDER:
+        raise OrderLimitError(f"order {n} exceeds the brute-force cap {MAX_BRUTE_FORCE_ORDER}")
     if P.size != Q.size:
         return []
     target: dict[tuple[int, int], int] = {(r, c): s for (r, c, s) in Q.cells}
@@ -412,7 +415,7 @@ def _extensions(gamma_map: dict[int, int], n: int) -> list[Permutation]:
     return out
 
 
-def autotopism_group(P: PartialLatinSquare, max_order: int = 5) -> list[Isotopism]:
+def autotopism_group(P: PartialLatinSquare) -> list[Isotopism]:
     """All isotopisms fixing P, in deterministic order.
 
     The square must be non-empty (censuses never involve the empty square,
@@ -420,12 +423,11 @@ def autotopism_group(P: PartialLatinSquare, max_order: int = 5) -> list[Isotopis
     """
     if P.is_empty():
         raise ValueError("autotopism group of the empty square is not taken")
-    return _isotopisms_mapping(P, P, max_order)
+    return _isotopisms_mapping(P, P)
 
 
-def isotopisms_between(P: PartialLatinSquare, Q: PartialLatinSquare,
-                       max_order: int = 5) -> list[Isotopism]:
+def isotopisms_between(P: PartialLatinSquare, Q: PartialLatinSquare) -> list[Isotopism]:
     """All isotopisms sending P onto Q; empty exactly when they are not isotopic."""
     if P.n != Q.n:
         raise ValueError("squares have different orders")
-    return _isotopisms_mapping(P, Q, max_order)
+    return _isotopisms_mapping(P, Q)

@@ -23,9 +23,12 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from latinsym import cli
+from latinsym.budget import Budget
 from latinsym.cli import main
+from latinsym.completion import count_completions
+from latinsym.orbit_enum import delta_full
 from latinsym.perm_algebra import IsotopismStructure, partitions_count
-from latinsym.pls_core import canonical_isotopism
+from latinsym.pls_core import Isotopism, PartialLatinSquare, canonical_isotopism
 
 COUNTEREXAMPLE_3 = "3 . 2\n. 3 1\n2 1 .\n"
 FLIP_3 = "(1 2);(1 2);(1 2)"
@@ -35,6 +38,19 @@ def run(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+DIAGNOSTICS = re.compile(r"diagnostics: elapsed \d+\.\d{3}s, node_count (\d+) nodes, "
+                         r"peak_rss \d+\.\d MB\n")
+
+
+def diagnosed(err):
+    """The stderr before the diagnostics line that ends it, and that line's
+    node count; the line must fullmatch the one format."""
+    *before, last = err.splitlines(keepends=True)
+    match = DIAGNOSTICS.fullmatch(last)
+    assert match, f"no diagnostics line at the end of {err!r}"
+    return "".join(before), int(match[1])
 
 
 # ----------------------------------------------------------------------
@@ -81,7 +97,7 @@ def test_structures_diagnostics_on_stderr(capsys):
     assert rc == 0
     reference = (resources.files("latinsym") / "data" / "table1.csv").read_text()
     assert out == reference
-    assert re.fullmatch(r"diagnostics: elapsed \d+\.\d{3}s, peak_rss \d+\.\d MB\n", err)
+    assert diagnosed(err) == ("", 0)  # the listings spend no nodes
 
 
 def test_structures_parastrophic_representatives(capsys):
@@ -109,7 +125,7 @@ def test_structures_timeout_exit_code(capsys, mode):
     rc, out, err = run(capsys, ["structures", "--n", "40", "--timeout-secs", "0.5", *mode])
     assert rc == 3
     assert out == ""  # no partial table
-    assert "aborted: time budget exhausted" in err and "Traceback" not in err
+    assert diagnosed(err)[0] == "aborted: time budget exhausted\n"
     assert time.monotonic() - started < 20
 
 
@@ -203,18 +219,38 @@ def test_census_full_only(capsys):
 ], ids=["full-only", "full-only-csv", "complete-count", "complete"])
 def test_full_count_and_complete_diagnostics_go_to_stderr(capsys, monkeypatch,
                                                           argv, stdin, expected):
-    # no node count: neither search reports one
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     rc, out, err = run(capsys, argv)
     assert rc == 0 and out == expected
-    assert re.fullmatch(r"diagnostics: elapsed \d+\.\d{3}s, peak_rss \d+\.\d MB\n", err)
+    before, nodes = diagnosed(err)
+    assert before == "" and nodes > 0
+
+
+@pytest.mark.parametrize("argv, stdin, search", [
+    (["census", "--z", "1^4,1^4,1^4", "--full-only"], "",
+     lambda budget: delta_full(canonical_isotopism(IsotopismStructure.parse("1^4,1^4,1^4")),
+                               budget=budget)),
+    (["complete", "--theta", "(1 2);(1 2);()", "--pls", "-", "--count"], "1 .\n. 1\n",
+     lambda budget: count_completions(Isotopism.parse("(1 2);(1 2);()", degree=2),
+                                      PartialLatinSquare.parse_text("1 .\n. 1\n"),
+                                      budget=budget)),
+], ids=["full-only", "complete-count"])
+def test_full_count_and_complete_print_their_node_count(capsys, monkeypatch,
+                                                        argv, stdin, search):
+    # the line's count is exactly what the search charged to its budget
+    budget = Budget()
+    search(budget)
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    rc, _, err = run(capsys, argv)
+    assert rc == 0 and diagnosed(err) == ("", budget.nodes)
 
 
 def test_census_budget_abort_exit_code(capsys):
-    rc, _, err = run(capsys, ["census", "--z", "1^4,1^4,1^4",
-                              "--max-nodes", "1000"])
-    assert rc == 3
-    assert "aborted" in err
+    # the node that passes the bound is charged before the abort
+    rc, out, err = run(capsys, ["census", "--z", "1^4,1^4,1^4",
+                                "--max-nodes", "1000"])
+    assert rc == 3 and out == ""
+    assert diagnosed(err) == ("aborted: node budget 1000 exhausted\n", 1001)
 
 
 @pytest.mark.parametrize("option, value, code", [
@@ -230,6 +266,8 @@ def test_census_budget_edge_values(capsys, option, value, code):
     rc, out, err = run(capsys, ["census", "--z", "1^3,1^3,1^3", f"{option}={value}"])
     assert rc == code and out == ""
     assert err.startswith("aborted: " if code == 3 else "error: ")
+    # a command refused as malformed ran nothing to report on
+    assert ("diagnostics:" in err) == (code == 3)
 
 
 def test_census_state_ceiling_exit_code(capsys, monkeypatch):
@@ -436,8 +474,8 @@ def test_ccensus_json_diagnostics_go_to_stderr(capsys):
     assert rc == 0
     assert json.loads(out) == {"per_size": {"2": 4, "4": 2},
                                "structure": "2,2,1^2", "total": 6}
-    assert re.fullmatch(r"diagnostics: elapsed \d+\.\d{3}s, node_count \d+ nodes, "
-                        r"peak_rss \d+\.\d MB\n", err)
+    before, nodes = diagnosed(err)
+    assert before == "" and nodes > 0
 
 
 def test_ccensus_csv(capsys):
@@ -455,14 +493,14 @@ def test_export_lp_order_one(capsys):
     assert rc == 0
     assert out.startswith("Minimize\n")
     assert out.rstrip().endswith("End")
-    assert err == "3 constraint rows\n"
+    assert diagnosed(err) == ("3 constraint rows\n", 0)
 
 
 def test_export_ideal_generator_summary(capsys):
     rc, out, err = run(capsys, ["export", "--z", "1^2,1^2,1^2",
                                 "--format", "ideal", "--m", "2"])
     assert rc == 0
-    assert err == "29 generators\n"
+    assert diagnosed(err) == ("29 generators\n", 0)
     assert len(out.splitlines()) == 29
 
 
@@ -483,7 +521,7 @@ def test_export_ideal_needs_target_size(capsys):
 def test_export_size_row_counted(capsys):
     rc, _, err = run(capsys, ["export", "--z", "1^1,1^1,1^1", "--m", "1"])
     assert rc == 0
-    assert err == "4 constraint rows\n"
+    assert diagnosed(err) == ("4 constraint rows\n", 0)
 
 
 # the first two are the cli_tables rows of perfbench/expected.json
@@ -522,7 +560,7 @@ def test_reproduce_classification_table(capsys):
     rc, out, err = run(capsys, ["reproduce", "--table", "1"])
     assert rc == 0
     assert out == "all rows n <= 17 match (106 cells)\n"
-    assert re.fullmatch(r"diagnostics: elapsed \d+\.\d{3}s, peak_rss \d+\.\d MB\n", err)
+    assert diagnosed(err) == ("", 0)
 
 
 def test_reproduce_classification_table_reports_one_changed_cell(capsys, monkeypatch):
@@ -560,8 +598,10 @@ def test_reproduce_completability_table_reports_known_disagreement(capsys):
     # The shipped reference table preserves two printed cells (and the row
     # total they imply) that an exhaustive search contradicts; the diff is
     # expected to surface exactly those three positions and signal failure.
-    rc, out, _ = run(capsys, ["reproduce", "--table", "5"])
+    rc, out, err = run(capsys, ["reproduce", "--table", "5"])
     assert rc == 4
+    before, nodes = diagnosed(err)
+    assert before == "" and nodes > 0  # the nodes of every census it ran
     lines = out.splitlines()
     assert lines[-1] == "3 of 221 cells differ"
     assert "MISMATCH z=2.1^2,2.1^2,2.1^2 s=2: computed 24, reference 32" in lines

@@ -16,6 +16,7 @@ from importlib import resources
 
 import pytest
 
+from latinsym.budget import Budget
 from latinsym.perm_algebra import IsotopismStructure, enumerate_autotopism_structures
 from latinsym.pls_core import (
     Isotopism,
@@ -291,14 +292,26 @@ def test_completability_census_identity_order_four():
 def test_census_budget_bounds_ccensus():
     # the census of 3.1^2 spends 382 nodes
     with pytest.raises(NodeBudgetExceededError):
-        completability_census(rep_of("3.1^2,3.1^2,3.1^2"), max_nodes=300)
+        completability_census(rep_of("3.1^2,3.1^2,3.1^2"), budget=Budget(max_nodes=300))
     # node_count is exactly what the budget was charged
     t = rep_of("1^3,1^3,1^3")
     rep = completability_census(t)
     assert rep.total == 5835 and rep.node_count > 0
-    assert completability_census(t, max_nodes=rep.node_count).total == 5835
+    assert completability_census(t, budget=Budget(max_nodes=rep.node_count)).total == 5835
     with pytest.raises(NodeBudgetExceededError):
-        completability_census(t, max_nodes=rep.node_count - 1)
+        completability_census(t, budget=Budget(max_nodes=rep.node_count - 1))
+
+
+def test_searches_on_one_budget_hold_nothing_once_returned():
+    # the live steps and the cover memo are freed when their search returns
+    budget = Budget()
+    t = rep_of("1^3,1^3,1^3")
+    rep = completability_census(t, budget=budget)
+    assert rep.node_count == budget.nodes and budget.held == 0
+    assert homogeneous_basis(t, budget=budget).cardinality == 12
+    assert is_theta_completable(t, PartialLatinSquare.from_cells(3, [(1, 1, 1)]),
+                                budget=budget)
+    assert budget.held == 0 and budget.nodes > rep.node_count
 
 
 def test_cover_memo_ceiling(monkeypatch):
@@ -435,7 +448,7 @@ def test_report_accessors():
     assert rep.count(2) == 4 and rep.count(3) == 0
     assert rep.per_size == {2: 4, 4: 2}
     assert rep.total == 6
-    assert rep.elapsed >= 0 and rep.node_count > 0
+    assert rep.node_count > 0
 
 
 # ----------------------------------------------------------------------
@@ -547,7 +560,7 @@ def test_homogeneous_basis_honours_its_time_budget():
     # budget, and would go on to its state ceiling
     started = time.monotonic()
     with pytest.raises(TimeBudgetExceededError):
-        homogeneous_basis(rep_of("1^6,1^6,1^6"), timeout_secs=1)
+        homogeneous_basis(rep_of("1^6,1^6,1^6"), budget=Budget(timeout_secs=1))
     assert time.monotonic() - started < 5
 
 

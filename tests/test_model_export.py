@@ -185,9 +185,10 @@ def test_lp_deterministic():
 
 def test_lp_objective_carries_weights():
     model = WeightedModel(Isotopism.identity(2),
-                          weights={(1, 1, 1): 2.5, (2, 2, 2): -1.0})
+                          weights={(1, 1, 1): 2.5, (1, 1, 2): -0.0, (2, 2, 2): -1.0})
     obj = unfold(export_ip(model))[1]
     assert "2.5 x_1_1_1" in obj
+    assert "+ 0.0 x_1_1_2" in obj  # one sign, not "+ -0.0"
     assert "- 1.0 x_2_2_2" in obj
 
 
@@ -428,8 +429,10 @@ def test_model_validation():
         WeightedModel(Isotopism.identity(0))
     with pytest.raises(ValueError):
         WeightedModel(Isotopism.identity(2), target_size=5)
-    with pytest.raises(ValueError):
-        WeightedModel(Isotopism.identity(2), weights={(3, 1, 1): 1.0})
+    # a key is a triple of ints in range; any other would weigh nothing
+    for key in ((3, 1, 1), (1.5, 1, 1), (True, 1, 1), (1, 1), 1, "111"):
+        with pytest.raises(ValueError, match="weight key"):
+            WeightedModel(Isotopism.identity(2), weights={key: 1.0})
     # a weight is written into the LP objective as it prints
     for w in (float("nan"), float("inf"), -float("inf"), True, "3", None):
         with pytest.raises(ValueError, match="weight"):

@@ -22,7 +22,7 @@ from latinsym.pls_core import (
     is_autotopism,
 )
 from latinsym import orbit_enum
-from latinsym.budget import _Budget
+from latinsym.budget import Budget
 from latinsym.completion import count_completions, is_theta_completable
 from latinsym.orbit_enum import (
     CoverCounter,
@@ -364,9 +364,9 @@ def test_census_budget_errors_distinct():
     # the uncapped 1^4 census now ends within 0.05 s; this one takes seconds
     t = rep_of("1^5,1^5,1^5")
     with pytest.raises(NodeBudgetExceededError):
-        delta_census(t, max_nodes=1000)
+        delta_census(t, budget=Budget(max_nodes=1000))
     with pytest.raises(TimeBudgetExceededError):
-        delta_census(t, timeout_secs=0.05)
+        delta_census(t, budget=Budget(timeout_secs=0.05))
 
 
 def test_census_live_state_ceiling(monkeypatch):
@@ -387,7 +387,7 @@ def test_full_count_charges_the_level_read(monkeypatch):
     # not beside the level it is built from; 390 hold both.
     t = rep_of("3^2,3^2,3^2")
     trail: list = []
-    orbit_enum._levels(build_valid_orbits(t), 0, _Budget(None, None), trail=trail)
+    orbit_enum._levels(build_valid_orbits(t), 0, Budget(), trail=trail)
     sizes = [len(level) for _, _, level in trail]
     assert max(sizes) == 222 and sizes[sizes.index(222) - 1] == 168
     assert max(a + b for a, b in zip(sizes, sizes[1:])) == 390
@@ -404,6 +404,15 @@ def test_census_report_invariants():
     assert all(v > 0 for v in rep.per_size.values())
     assert rep.node_count == 6  # DP states expanded, against 51 squares counted
     assert rep.structure == IsotopismStructure.parse("2.1,2.1,1^3")
+
+
+def test_censuses_on_one_budget_report_their_own_nodes():
+    budget = Budget()
+    first = delta_census(rep_of("2.1,2.1,1^3"), budget=budget)
+    second = delta_census(rep_of("1^4,1^4,1^4"), max_size=2, budget=budget)
+    assert (first.node_count, second.node_count) == (6, 354)
+    assert first.node_count + second.node_count == budget.nodes
+    assert budget.held == 0
 
 
 def test_conjugacy_and_parastrophe_invariance():
@@ -453,7 +462,7 @@ def test_cover_counter_packed_interface():
 def test_cover_counter_budget():
     t = rep_of("1^4,1^4,1^4")
     with pytest.raises(NodeBudgetExceededError):
-        delta_full(t, max_nodes=10)
+        delta_full(t, budget=Budget(max_nodes=10))
 
 
 def test_delta_full_matches_oracle():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latinsym.budget import TimeBudgetExceededError, deadline_after
+from latinsym.budget import Budget, TimeBudgetExceededError
 from latinsym.perm_algebra import (
     MAX_PARSED_ORDER,
     CycleStructure,
@@ -331,7 +331,7 @@ def test_count_checks_deadline_while_listing_partitions():
     # order 64 has 1,741,630 partitions, far more than half a second's worth
     started = time.monotonic()
     with pytest.raises(TimeBudgetExceededError):
-        count_structures_and_classes(64, deadline=deadline_after(0.5))
+        count_structures_and_classes(64, budget=Budget(timeout_secs=0.5))
     assert time.monotonic() - started < 2
 
 
