@@ -41,7 +41,7 @@ from .perm_algebra import (
 from .pls_core import Isotopism, PartialLatinSquare, canonical_isotopism
 from .orbit_enum import candidate_sizes, delta_census, delta_full, size_bounds
 from .completion import completability_census, count_completions, is_theta_completable
-from .model_export import WeightedModel, export_ideal, export_ip
+from .model_export import export_ideal, export_ip
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -61,7 +61,8 @@ def _add_selector(sub: argparse.ArgumentParser) -> None:
                        help="cycle-structure triple such as '2.1,2.1,1^3'; "
                             "a canonical isotopism is synthesized")
     sub.add_argument("--n", type=int, default=None,
-                     help="degree hint when --theta omits the largest point")
+                     help="degree; needed when --theta omits the largest point, "
+                          "checked against --z")
 
 
 def _add_timeout(sub: argparse.ArgumentParser) -> None:
@@ -84,7 +85,7 @@ def _add_output_format(sub: argparse.ArgumentParser) -> None:
 def _resolve_isotopism(args: argparse.Namespace) -> Isotopism:
     if args.theta is not None:
         return Isotopism.parse(args.theta, degree=args.n)
-    z = IsotopismStructure.parse(args.z)
+    z = IsotopismStructure.parse(args.z, degree=args.n)
     return canonical_isotopism(z)
 
 
@@ -214,12 +215,12 @@ def cmd_complete(args: argparse.Namespace, budget: Budget) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_export(args: argparse.Namespace, budget: Budget) -> int:
-    model = WeightedModel(_resolve_isotopism(args), target_size=args.m)
+    t = _resolve_isotopism(args)
     if args.format == "ideal":
-        text = export_ideal(model)
+        text = export_ideal(t, args.m)
         summary = f"{len(text.splitlines())} generators"
     else:
-        text = export_ip(model)
+        text = export_ip(t, args.m)
         rows = len(re.findall(r"^ (?:cs|rs|rc|sym|size)\w*:", text, flags=re.M))
         summary = f"{rows} constraint rows"
     if args.output == "-":

@@ -107,9 +107,10 @@ def is_theta_completable(t: Isotopism, P: PartialLatinSquare, *,
     ovs, key = _invariant_state(t, P)
     budget = budget or Budget()
     held = budget.held
-    found = CoverCounter(ovs, budget).covers(key)
-    budget.held = held  # the memo goes with the counter
-    return found
+    try:
+        return CoverCounter(ovs, budget).covers(key)
+    finally:
+        budget.held = held  # the memo goes with the counter
 
 
 def is_completable(P: PartialLatinSquare, *,
@@ -137,9 +138,11 @@ def completability_census(t: Isotopism, *,
     budget = budget or Budget()
     spent, held = budget.nodes, budget.held
     ovs = build_valid_orbits(t)
-    _, steps = _cover_steps(ovs, budget)
-    per_size = _completable_counts(ovs, steps, budget) if steps else {}
-    budget.held = held  # the steps are freed on return
+    try:
+        _, steps = _cover_steps(ovs, budget)
+        per_size = _completable_counts(ovs, steps, budget) if steps else {}
+    finally:
+        budget.held = held  # the steps are freed on return
     return CensusReport(
         structure=t.structure(),
         per_size=per_size,
@@ -196,23 +199,24 @@ def basis_from_shape(t: Isotopism, shape: ShapeSet, *,
     ovs = build_valid_orbits(t)
     budget = budget or Budget()
     held = budget.held
-    full, steps = _cover_steps(ovs, budget)
-    if not full:
-        budget.held = held
-        raise ValueError("the isotopism admits no invariant full square")
-    i, j = _VIEW[shape.mode]
-    inside = [(o.representative[i], o.representative[j]) in shape.pairs
-              for o in ovs.orbits]
-    # Members come as lists of orbit indices in lexicographic order.  Every
-    # triple of an orbit lies at or after its least triple, by which the
-    # orbits are numbered, so this is also the order of their sorted cells.
-    elements, counts = [], []
-    for member, count in _projected_covers(steps, inside, budget):
-        # from a set: a frozenset grown from a generator keeps a larger table
-        cells = frozenset({c for v in member for c in ovs.orbits[v].triples})
-        elements.append(PartialLatinSquare(t.degree, cells))
-        counts.append(count)
-    budget.held = held  # the steps are freed on return
+    try:
+        full, steps = _cover_steps(ovs, budget)
+        if not full:
+            raise ValueError("the isotopism admits no invariant full square")
+        i, j = _VIEW[shape.mode]
+        inside = [(o.representative[i], o.representative[j]) in shape.pairs
+                  for o in ovs.orbits]
+        # Members come as lists of orbit indices in lexicographic order.  Every
+        # triple of an orbit lies at or after its least triple, by which the
+        # orbits are numbered, so this is also the order of their sorted cells.
+        elements, counts = [], []
+        for member, count in _projected_covers(steps, inside, budget):
+            # from a set: a frozenset grown from a generator keeps a larger table
+            cells = frozenset({c for v in member for c in ovs.orbits[v].triples})
+            elements.append(PartialLatinSquare(t.degree, cells))
+            counts.append(count)
+    finally:
+        budget.held = held  # the steps are freed on return
     total = sum(counts)
     if total != full:
         raise AssertionError(

@@ -3,10 +3,11 @@
 The invariant squares of an isotopism are exactly the 0/1 points of a small
 linear system: one binary x_r_c_s per cell-symbol choice, at-most-one rows
 for the three coordinate-pair families, equalities tying the variables of
-each triple orbit together, and optionally a size row.  This module writes
-that system as LP text, writes the equivalent polynomial ideal (the
-quadratic form of the same constraints), and decodes 0/1 assignments coming
-back from an external solver.  Each form has one layout: the LP ties each
+each triple orbit together, and optionally a size row.  Given the isotopism
+and that optional target size, this module writes the system as LP text,
+writes the equivalent polynomial ideal (the quadratic form of the same
+constraints), and decodes 0/1 assignments coming back from an external
+solver.  Each form has one layout: the LP has a zero objective and ties each
 orbit as a chain of equalities, and the ideal keeps a literal 0 generator
 for each fixed triple.  Counting stays in orbit_enum; nothing here solves
 anything.
@@ -15,49 +16,10 @@ anything.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
 
 from .pls_core import Isotopism, PartialLatinSquare, triple_orbits
-
-
-# ----------------------------------------------------------------------
-# Model description
-# ----------------------------------------------------------------------
-
-@dataclass
-class WeightedModel:
-    """An isotopism, an optional target size, and objective weights; the
-    model's order is the isotopism's degree.
-
-    Weights only shape the exported objective; feasibility, and therefore
-    every count in this package, ignores them.  Each is a finite int or
-    float, since it is written into the LP text as it prints, and its key a
-    triple (r, c, s) of ints in 1..n.
-    """
-
-    isotopism: Isotopism
-    target_size: Optional[int] = None
-    weights: dict[tuple[int, int, int], float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        n = self.isotopism.degree
-        if n < 1:
-            raise ValueError("order must be positive")
-        if self.target_size is not None and not 1 <= self.target_size <= n * n:
-            raise ValueError(f"target size must lie in 1..{n * n}")
-        for key, w in self.weights.items():
-            if not (isinstance(key, tuple) and len(key) == 3 and all(
-                    isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= n
-                    for v in key)):
-                raise ValueError(f"weight key {key!r} is not a triple of ints in 1..{n}")
-            if (isinstance(w, bool) or not isinstance(w, (int, float))
-                    or not abs(w) < float("inf")):
-                raise ValueError(f"weight {w!r} at {key} is not a finite number")
-
-    def weight(self, r: int, c: int, s: int) -> float:
-        return self.weights.get((r, c, s), 0)
 
 
 def variable_name(r: int, c: int, s: int) -> str:
@@ -67,6 +29,16 @@ def variable_name(r: int, c: int, s: int) -> str:
 
 def ideal_variable(r: int, c: int, s: int) -> str:
     return f"x[{r}][{c}][{s}]"
+
+
+def _checked_order(t: Isotopism, target_size: Optional[int]) -> int:
+    """The model's order, t's degree, once it and target_size are valid."""
+    n = t.degree
+    if n < 1:
+        raise ValueError("order must be positive")
+    if target_size is not None and not 1 <= target_size <= n * n:
+        raise ValueError(f"target size must lie in 1..{n * n}")
+    return n
 
 
 def _triples(n: int):
@@ -110,31 +82,20 @@ def _wrapped(prefix: str, terms: list[str], tail: str) -> list[str]:
     return lines
 
 
-def _weight_terms(model: WeightedModel) -> list[str]:
-    terms = []
-    for i, (r, c, s) in enumerate(_triples(model.isotopism.degree)):
-        w = model.weight(r, c, s)
-        name = variable_name(r, c, s)
-        if i == 0:
-            terms.append(f"{w} {name}")
-        else:  # abs writes a -0.0 weight as "+ 0.0"
-            terms.append(f"{'+' if w >= 0 else '-'} {abs(w)} {name}")
-    return terms
-
-
-def export_ip(model: WeightedModel) -> str:
-    """The invariant-square system as fixed-format LP text.
+def export_ip(t: Isotopism, target_size: Optional[int] = None) -> str:
+    """The invariant-square system of t as fixed-format LP text.
 
     Rows appear family by family: at-most-one over rows for each column and
     symbol, over columns for each row and symbol, over symbols for each cell,
     then the symmetry equalities, then the optional size row.  The symmetry
     block ties each triple orbit as a chain, each triple equal to the next,
-    without the implied closing equation.
+    without the implied closing equation.  The objective is zero: every
+    feasible point counts alike.
     """
-    t = model.isotopism
-    n = t.degree
+    n = _checked_order(t, target_size)
     out: list[str] = ["Minimize"]
-    out += _wrapped(" obj: ", _weight_terms(model), "")
+    zero = [f"0 {variable_name(*triple)}" for triple in _triples(n)]
+    out += _wrapped(" obj: ", _join_plain(zero), "")
     out.append("Subject To")
 
     for label, triples in _at_most_one_rows(n):
@@ -148,9 +109,9 @@ def export_ip(model: WeightedModel) -> str:
             b = variable_name(*cells[step + 1])
             out.append(f" sym_{k + 1}_{step + 1}: {a} - {b} = 0")
 
-    if model.target_size is not None:
+    if target_size is not None:
         terms = [variable_name(r, c, s) for (r, c, s) in _triples(n)]
-        out += _wrapped(" size: ", _join_plain(terms), f" = {model.target_size}")
+        out += _wrapped(" size: ", _join_plain(terms), f" = {target_size}")
 
     out.append("Bounds")
     for triple in _triples(n):
@@ -169,8 +130,9 @@ def _join_plain(names: list[str]) -> list[str]:
 # Polynomial ideal text
 # ----------------------------------------------------------------------
 
-def export_ideal(model: WeightedModel) -> str:
-    """The same feasible set as the vanishing locus of quadratic generators.
+def export_ideal(t: Isotopism, target_size: Optional[int]) -> str:
+    """The same feasible set, of squares of size target_size, as the
+    vanishing locus of quadratic generators.
 
     Six families, one generator per line: the at-most-one quadratics for the
     three coordinate-pair families, the idempotents, the symmetry
@@ -178,10 +140,8 @@ def export_ideal(model: WeightedModel) -> str:
     triple is identically zero; it is kept as a literal 0 line so the
     generator count stays at 2n^3 + 3n^2 + 1.
     """
-    t = model.isotopism
-    n = t.degree
-    m = model.target_size
-    if m is None:
+    n = _checked_order(t, target_size)
+    if target_size is None:
         raise ValueError("the ideal form needs a target size")
     lines: list[str] = []
     for _, triples in _at_most_one_rows(n):
@@ -200,7 +160,7 @@ def export_ideal(model: WeightedModel) -> str:
             lines.append(f"{ideal_variable(*triple)}-{ideal_variable(*image)}")
 
     total = "+".join(ideal_variable(*triple) for triple in _triples(n))
-    lines.append(f"{m}-({total})")
+    lines.append(f"{target_size}-({total})")
     return "\n".join(lines) + "\n"
 
 

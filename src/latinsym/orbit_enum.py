@@ -413,47 +413,49 @@ def _levels(ovs: ValidOrbitSet, pre: int, budget: Budget,
     # _cover_steps recomputes the successors of each kept state, which a
     # merge would relabel; a merge from pre fixes pre's columns and symbols
     merge_at, merge = _row_merge(ovs, pre) if trail is None else ((), None)
-    level = {pre & ahead[0]: 1}
-    for p in range(N):
-        if p in merge_at:
-            level = merge(level)
-        keep = ahead[p + 1]
-        group = groups[p]
-        # only the census skips a cell: a full count's ahead[p] holds bit p
-        if not group and keep == ahead[p]:
-            continue
-        bit = 1 << p
-        moves = blank + [(ovs.masks[i], ovs.lengths[i] * width) for i in group]
-        budget.held = base + len(level) * cost[p]  # the level being read
-        if trail is not None:
-            trail.append((group, keep, level))
-            base = budget.held
-        budget.check_time()
-        limit = (_MAX_LEVEL_BYTES - budget.held) // cost[p + 1]
-        # each state makes at most 1 + len(group) successors
-        watch = len(level) * (1 + len(group)) > limit
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for key, value in level.items():
-            spend()
-            if key & bit:
-                # cell p is covered, so every orbit of its group conflicts
-                k = key & keep
-                nxt[k] = get(k, 0) + value
-            else:
-                for mask, shift in moves:
-                    if not key & mask:
-                        # unshifted: a blank or a full-count move
-                        moved = value << shift & window if shift else value
-                        if moved:
-                            k = (key | mask) & keep
-                            nxt[k] = get(k, 0) + moved
-            if watch and len(nxt) > limit:
-                raise _overflow(budget, f"{kind} level at cell {p} holds {len(nxt)} states")
-        level = nxt
-        if not level:
-            break
-    budget.held = base
+    try:
+        level = {pre & ahead[0]: 1}
+        for p in range(N):
+            if p in merge_at:
+                level = merge(level)
+            keep = ahead[p + 1]
+            group = groups[p]
+            # only the census skips a cell: a full count's ahead[p] holds bit p
+            if not group and keep == ahead[p]:
+                continue
+            bit = 1 << p
+            moves = blank + [(ovs.masks[i], ovs.lengths[i] * width) for i in group]
+            budget.held = base + len(level) * cost[p]  # the level being read
+            if trail is not None:
+                trail.append((group, keep, level))
+                base = budget.held
+            budget.check_time()
+            limit = (_MAX_LEVEL_BYTES - budget.held) // cost[p + 1]
+            # each state makes at most 1 + len(group) successors
+            watch = len(level) * (1 + len(group)) > limit
+            nxt: dict[int, int] = {}
+            get = nxt.get
+            for key, value in level.items():
+                spend()
+                if key & bit:
+                    # cell p is covered, so every orbit of its group conflicts
+                    k = key & keep
+                    nxt[k] = get(k, 0) + value
+                else:
+                    for mask, shift in moves:
+                        if not key & mask:
+                            # unshifted: a blank or a full-count move
+                            moved = value << shift & window if shift else value
+                            if moved:
+                                k = (key | mask) & keep
+                                nxt[k] = get(k, 0) + moved
+                if watch and len(nxt) > limit:
+                    raise _overflow(budget, f"{kind} level at cell {p} holds {len(nxt)} states")
+            level = nxt
+            if not level:
+                break
+    finally:  # an abort frees the levels too
+        budget.held = base
     value = level.get(0, 0)
     return value if cap is None else _size_counts(value, width)
 
@@ -561,33 +563,36 @@ def _completable_counts(ovs: ValidOrbitSet, steps, budget: Budget
     bits = [len(moves) for _, moves in steps] + [1]
     cost = [c + _digit_bytes(b) for c, b in zip(entry, bits)]
     base, level = budget.held, {1: 1}
-    for p, (group, moves) in enumerate(steps):
-        budget.held = base + len(level) * cost[p]
-        budget.check_time()
-        shifts = [ovs.lengths[i] * width for i in group]
-        limit = (_MAX_LEVEL_BYTES - budget.held) // cost[p + 1]
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for members, value in level.items():
-            budget.spend()
-            blank = 0
-            placed = [0] * len(group)
-            text = bin(members)[:1:-1]  # bit k of members is text[k]
-            k = text.find("1")
-            while k >= 0:
-                for j, b in moves[k]:
-                    blank |= 1 << b
-                    if j >= 0:
-                        placed[j] |= 1 << b
-                k = text.find("1", k + 1)
-            nxt[blank] = get(blank, 0) + value
-            for j, got in enumerate(placed):
-                if got:
-                    nxt[got] = get(got, 0) + (value << shifts[j])
-            if len(nxt) > limit:
-                raise _overflow(budget, f"completability level at cell {p} holds {len(nxt)} sets")
-        level = nxt
-    budget.held = base
+    try:
+        for p, (group, moves) in enumerate(steps):
+            budget.held = base + len(level) * cost[p]
+            budget.check_time()
+            shifts = [ovs.lengths[i] * width for i in group]
+            limit = (_MAX_LEVEL_BYTES - budget.held) // cost[p + 1]
+            nxt: dict[int, int] = {}
+            get = nxt.get
+            for members, value in level.items():
+                budget.spend()
+                blank = 0
+                placed = [0] * len(group)
+                text = bin(members)[:1:-1]  # bit k of members is text[k]
+                k = text.find("1")
+                while k >= 0:
+                    for j, b in moves[k]:
+                        blank |= 1 << b
+                        if j >= 0:
+                            placed[j] |= 1 << b
+                    k = text.find("1", k + 1)
+                nxt[blank] = get(blank, 0) + value
+                for j, got in enumerate(placed):
+                    if got:
+                        nxt[got] = get(got, 0) + (value << shifts[j])
+                if len(nxt) > limit:
+                    raise _overflow(
+                        budget, f"completability level at cell {p} holds {len(nxt)} sets")
+            level = nxt
+    finally:
+        budget.held = base
     return _size_counts(level.get(1, 0), width)
 
 

@@ -586,11 +586,11 @@ def count_structures_and_classes(n: int, *, budget: Optional[Budget] = None
     if n < 1:
         raise ValueError("n must be positive")
     budget = budget or Budget()
-    weights: dict[int, int] = {}
+    per_support: dict[int, int] = {}  # w_A by support A
     for parts in _partitions(n, n, budget):
         mask = _support_mask(parts)
-        weights[mask] = weights.get(mask, 0) + 1
-    groups = [(mask, w, _lengths(mask)) for mask, w in weights.items()]
+        per_support[mask] = per_support.get(mask, 0) + 1
+    groups = [(mask, w, _lengths(mask)) for mask, w in per_support.items()]
     having = [0] * n  # having[k - 1]: the partitions with a part k
     offset = 0
     for _, w, ls in groups:

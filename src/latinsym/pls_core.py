@@ -105,15 +105,16 @@ class PartialLatinSquare:
 
     @classmethod
     def parse_json(cls, text: str) -> "PartialLatinSquare":
-        obj = json.loads(text)
         try:
+            # json.loads raises RecursionError on text nested too deep
+            obj = json.loads(text)
             n, cells = obj["n"], [tuple(cell) for cell in obj["cells"]]
             # a float or a boolean is no order or coordinate, whatever its value
             if not all(type(v) is int for v in (n, *chain.from_iterable(cells))):
                 raise TypeError("an entry that is not an integer")
             check_parsed_order(n)
             return cls.from_cells(n, cells)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, RecursionError) as exc:
             raise ValueError('square JSON needs an integer "n" and "cells" as a '
                              f"list of [row, col, symbol] triples ({exc!r})") from None
 

@@ -358,6 +358,14 @@ def test_bad_isotopism_spec_is_usage_error(capsys):
     assert "error:" in err
 
 
+def test_n_is_checked_against_z(capsys):
+    rc, out, err = run(capsys, ["census", "--z", "1^3,1^3,1^3", "--n", "5"])
+    assert rc == 2 and out == ""
+    assert "expected degree 5" in err
+    rc, out, _ = run(capsys, ["census", "--z", "1^3,1^3,1^3", "--n", "3"])
+    assert rc == 0 and out == run(capsys, ["census", "--z", "1^3,1^3,1^3"])[1]
+
+
 def test_selector_is_required(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["census"])
@@ -419,6 +427,8 @@ def test_complete_rejects_non_invariant_square(tmp_path, capsys):
     '{"n": 3, "cells": [[3, 3, 3.0]]}',
     '{"n": 3.7, "cells": []}',
     '{"n": true, "cells": []}',
+    # nested too deep for json.loads, which raises RecursionError
+    pytest.param('{"n": 3, "cells": ' + "[" * 3000 + "]" * 3000 + "}", id="nested-3000-deep"),
 ])
 def test_complete_malformed_json_square_is_usage_error(payload, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(payload))

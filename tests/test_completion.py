@@ -326,6 +326,29 @@ def test_cover_memo_ceiling(monkeypatch):
     assert is_completable(PartialLatinSquare(3, frozenset()))
 
 
+def test_aborted_searches_hold_nothing(monkeypatch):
+    # a search that raises frees its tables, so the next search on the
+    # same budget starts from what the caller holds
+    budget = Budget(max_nodes=20)
+    with pytest.raises(NodeBudgetExceededError):
+        homogeneous_basis(rep_of("1^3,1^3,1^3"), budget=budget)
+    assert budget.held == 0
+    budget = Budget()
+    monkeypatch.setattr("latinsym.orbit_enum._MAX_LEVEL_BYTES", 1 << 20)
+    with pytest.raises(StateBudgetExceededError, match="census level at cell 5"):
+        delta_census(rep_of("2^3,2^3,2^3"), budget=budget)
+    assert budget.held == 0
+    with pytest.raises(StateBudgetExceededError, match="completability level"):
+        completability_census(rep_of("1^4,1^4,1^4"), budget=budget)
+    assert budget.held == 0
+    monkeypatch.setattr("latinsym.orbit_enum._MAX_LEVEL_BYTES", 20 * 100)
+    P = PartialLatinSquare(5, frozenset({(1, 1, 3), (2, 5, 2), (3, 2, 2),
+                                         (4, 1, 1), (5, 2, 1), (5, 4, 2)}))
+    with pytest.raises(StateBudgetExceededError, match="cover memo"):
+        is_completable(P, budget=budget)
+    assert budget.held == 0
+
+
 def test_cover_search_does_not_recurse():
     # deciding this square places one orbit per search level, 132 in all,
     # with room for 60 frames above the test

@@ -20,7 +20,6 @@ from latinsym.pls_core import Isotopism, PartialLatinSquare, canonical_isotopism
 from latinsym.orbit_enum import delta_census, delta_full
 from latinsym.completion import is_theta_completable
 from latinsym.model_export import (
-    WeightedModel,
     decode_solution,
     encode_square,
     export_ideal,
@@ -146,7 +145,7 @@ def count_feasible(text: str) -> int:
 # ----------------------------------------------------------------------
 
 def test_lp_order_one_shape():
-    text = export_ip(WeightedModel(Isotopism.identity(1)))
+    text = export_ip(Isotopism.identity(1))
     le_rows, eq_pairs, size_row, binaries = parse_lp(text)
     assert len(le_rows) == 3
     assert eq_pairs == []
@@ -156,7 +155,7 @@ def test_lp_order_one_shape():
 
 def test_lp_row_counts_and_sections():
     t = rep_of("2.1,2.1,2.1")
-    text = export_ip(WeightedModel(t))
+    text = export_ip(t)
     le_rows, eq_pairs, size_row, binaries = parse_lp(text)
     assert len(le_rows) == 27
     assert len(binaries) == 27
@@ -166,7 +165,7 @@ def test_lp_row_counts_and_sections():
 
 def test_lp_symmetry_rows_pair_orbit_mates():
     t = Isotopism.parse("(1 2);(1 2);(1 2)", degree=2)
-    text = export_ip(WeightedModel(t))
+    text = export_ip(t)
     assert " sym_1_1: x_1_1_1 - x_2_2_2 = 0" in text.splitlines()
     # the flip has no fixed triples at order 2, so four orbits of two
     assert sum(1 for line in text.splitlines() if line.lstrip().startswith("sym_")) == 4
@@ -174,22 +173,13 @@ def test_lp_symmetry_rows_pair_orbit_mates():
 
 def test_lp_deterministic():
     t = rep_of("2.1^2,2.1^2,2.1^2")
-    model = WeightedModel(t, target_size=7)
-    assert export_ip(model) == export_ip(model)
-    reordered = WeightedModel(t, target_size=7,
-                              weights={(2, 1, 1): 0.0, (1, 1, 1): 0.0})
-    plain = WeightedModel(t, target_size=7,
-                          weights={(1, 1, 1): 0.0, (2, 1, 1): 0.0})
-    assert export_ip(reordered) == export_ip(plain)
+    assert export_ip(t, 7) == export_ip(t, 7)
 
 
-def test_lp_objective_carries_weights():
-    model = WeightedModel(Isotopism.identity(2),
-                          weights={(1, 1, 1): 2.5, (1, 1, 2): -0.0, (2, 2, 2): -1.0})
-    obj = unfold(export_ip(model))[1]
-    assert "2.5 x_1_1_1" in obj
-    assert "+ 0.0 x_1_1_2" in obj  # one sign, not "+ -0.0"
-    assert "- 1.0 x_2_2_2" in obj
+def test_lp_objective_is_zero():
+    obj = unfold(export_ip(Isotopism.identity(2)))[1]
+    assert obj == " obj: 0 x_1_1_1 + 0 x_1_1_2 + 0 x_1_2_1 + 0 x_1_2_2" \
+                  " + 0 x_2_1_1 + 0 x_2_1_2 + 0 x_2_2_1 + 0 x_2_2_2"
 
 
 @pytest.mark.parametrize(
@@ -199,10 +189,10 @@ def test_lp_objective_carries_weights():
 def test_lp_feasible_points_match_census(spec):
     t = rep_of(spec)
     census = delta_census(t)
-    text = export_ip(WeightedModel(t))
+    text = export_ip(t)
     assert count_feasible(text) == census.total + 1  # plus the empty point
     for size, expected in sorted(census.per_size.items()):
-        sized = export_ip(WeightedModel(t, target_size=size))
+        sized = export_ip(t, size)
         assert count_feasible(sized) == expected, (spec, size)
 
 
@@ -210,7 +200,7 @@ def test_lp_full_size_matches_full_count():
     for spec in ("2,2,1^2", "3,3,3", "2.1,2.1,2.1"):
         t = rep_of(spec)
         n = t.degree
-        text = export_ip(WeightedModel(t, target_size=n * n))
+        text = export_ip(t, n * n)
         assert count_feasible(text) == delta_full(t), spec
 
 
@@ -264,7 +254,7 @@ def test_lp_milp_witness_matches_theta_completability():
     verdicts = []
     for t, cells in cases:
         n = t.degree
-        text = export_ip(WeightedModel(t, target_size=n * n))
+        text = export_ip(t, n * n)
         verdict = is_theta_completable(t, PartialLatinSquare(n, cells))
         assert milp_feasible(text, cells) == verdict, (t, sorted(cells))
         verdicts.append(verdict)
@@ -280,17 +270,17 @@ def generator_count(n: int) -> int:
 
 
 def test_ideal_generator_counts():
-    assert len(export_ideal(WeightedModel(Isotopism.identity(1), target_size=1)).splitlines()) == 6
-    assert len(export_ideal(WeightedModel(Isotopism.identity(2), target_size=3)).splitlines()) == 29
+    assert len(export_ideal(Isotopism.identity(1), 1).splitlines()) == 6
+    assert len(export_ideal(Isotopism.identity(2), 3).splitlines()) == 29
     for n in (1, 2, 3, 4, 5):
         t = Isotopism.identity(n)
-        text = export_ideal(WeightedModel(t, target_size=1))
+        text = export_ideal(t, 1)
         assert len(text.splitlines()) == generator_count(n)
 
 
 def test_ideal_requires_target_size():
-    with pytest.raises(ValueError):
-        export_ideal(WeightedModel(Isotopism.identity(2)))
+    with pytest.raises(ValueError, match="needs a target size"):
+        export_ideal(Isotopism.identity(2), None)
 
 
 def evaluate_ideal(text: str, n: int, cells) -> list:
@@ -304,7 +294,7 @@ def test_ideal_vanishes_exactly_on_members():
     t = rep_of("2,2,1^2")
     members = list(iter_invariant_squares(t))
     for size in (2, 4):
-        text = export_ideal(WeightedModel(t, target_size=size))
+        text = export_ideal(t, size)
         for cells in members:
             values = evaluate_ideal(text, 2, cells)
             if len(cells) == size:
@@ -312,10 +302,10 @@ def test_ideal_vanishes_exactly_on_members():
             else:
                 assert any(values)
     # a square that is not invariant violates a symmetry generator
-    text = export_ideal(WeightedModel(t, target_size=1))
+    text = export_ideal(t, 1)
     assert any(evaluate_ideal(text, 2, [(1, 1, 1)]))
     # and a repeated symbol in a row violates a quadratic
-    text_id = export_ideal(WeightedModel(Isotopism.identity(2), target_size=2))
+    text_id = export_ideal(Isotopism.identity(2), 2)
     assert any(evaluate_ideal(text_id, 2, [(1, 1, 1), (1, 2, 1)]))
 
 
@@ -344,13 +334,13 @@ def test_ideal_groebner_witness_matches_census():
         t = rep_of(spec)
         census = delta_census(t)
         for m in (1, 2, 3, 4):
-            text = export_ideal(WeightedModel(t, target_size=m))
+            text = export_ideal(t, m)
             assert ideal_solution_count(text) == census.count(m), (spec, m)
 
 
 def test_ideal_deterministic():
-    model = WeightedModel(rep_of("3,3,3"), target_size=3)
-    assert export_ideal(model) == export_ideal(model)
+    t = rep_of("3,3,3")
+    assert export_ideal(t, 3) == export_ideal(t, 3)
 
 
 # ----------------------------------------------------------------------
@@ -425,17 +415,8 @@ def test_decode_reports_latin_violation():
 
 
 def test_model_validation():
-    with pytest.raises(ValueError):
-        WeightedModel(Isotopism.identity(0))
-    with pytest.raises(ValueError):
-        WeightedModel(Isotopism.identity(2), target_size=5)
-    # a key is a triple of ints in range; any other would weigh nothing
-    for key in ((3, 1, 1), (1.5, 1, 1), (True, 1, 1), (1, 1), 1, "111"):
-        with pytest.raises(ValueError, match="weight key"):
-            WeightedModel(Isotopism.identity(2), weights={key: 1.0})
-    # a weight is written into the LP objective as it prints
-    for w in (float("nan"), float("inf"), -float("inf"), True, "3", None):
-        with pytest.raises(ValueError, match="weight"):
-            WeightedModel(Isotopism.identity(2), weights={(1, 1, 1): w})
-    for w in (3, -2.5, 0):
-        WeightedModel(Isotopism.identity(2), weights={(1, 1, 1): w})
+    for export in (export_ip, export_ideal):
+        with pytest.raises(ValueError, match="order must be positive"):
+            export(Isotopism.identity(0), None)
+        with pytest.raises(ValueError, match="target size must lie in 1..4"):
+            export(Isotopism.identity(2), 5)
