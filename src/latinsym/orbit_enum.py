@@ -34,8 +34,8 @@ placed orbits relabels only the columns and symbols they leave unused.
 The uncapped census of 1^4 then expands 6,283 states, where it expanded
 366,614, and at the four boundaries of 1^5 the merge leaves 6, 290, 4,908
 and 19,286 states of 1,546, 5,961, 109,905 and 600,410.  The completions
-of one cell under the identity take about 0.06 s at order 6 (135,475,200)
-and 3.6 to 4 s at order 7 (8,782,774,272,000 = |LS_7|/7); unmerged, the
+of one cell under the identity take about 0.02 s at order 6 (135,475,200)
+and about 1.5 s at order 7 (8,782,774,272,000 = |LS_7|/7); unmerged, the
 first took 17 s and the second stopped at the ceiling at cell 14.
 
 Every table a search keeps, the level being read beside the one being built
@@ -58,6 +58,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, cycle, filterfalse
 from math import factorial, gcd, lcm, prod
+from operator import lshift
 from typing import Iterator, NamedTuple, Optional
 
 from .budget import (  # the searches' errors, importable from here too
@@ -312,9 +313,20 @@ def _row_merge(ovs: ValidOrbitSet, pre: int):
 
     merge(level) applies such a relabelling to each state, adding the values
     of states brought to one key: it sorts the lane columns of the cs
-    matrix, then its lane symbols, until neither changes.  Both sorts
-    raise sum(m[c][s] 2^(c+s)) whenever they move a lane, so the loop ends.
-    It may miss a merge, which costs only speed.
+    matrix, then its lane symbols, then its columns again, and so on, until
+    a sort after the first leaves its lanes in order.  A family of fewer
+    than two lanes is always in order, so it is not sorted.  merge sorts one
+    family at a time over the whole level.  The first pass sorts every key
+    and, when both families are sorted, passes all of them on; each later
+    pass sorts the other family (the same one when only one is sorted) in
+    the keys passed on, keeps those it leaves in order and passes on those
+    it moves.  Keys a pass brings to one key share one entry.  The result
+    is the same as sorting each key on its own: the sorts a key goes
+    through depend only on the key and on the family sorted next, so keys
+    equal after the same pass go the same way from there.  Both sorts raise
+    sum(m[c][s] 2^(c+s)) whenever they move a lane, so a key is moved
+    finitely often and the passes end.  It may miss a merge, which costs
+    only speed.
     """
     n = ovs.n
     N = n * n
@@ -337,23 +349,27 @@ def _row_merge(ovs: ValidOrbitSet, pre: int):
     spread = sum(1 << 2 * N + c * n for c in range(n))  # one bit per column
     col_clear = ~sum(lane << sh for sh in fc)
     sym_clear = ~sum(spread << sh for sh in fs)
-    sorts = ((fc, lane, col_clear), (fs, spread, sym_clear))
+    sorts = [family for family in ((fc, lane, col_clear), (fs, spread, sym_clear))
+             if len(family[0]) > 1]
 
     def merge(level: dict[int, int]) -> dict[int, int]:
         out: dict[int, int] = {}
-        get = out.get
-        for key, value in level.items():
-            for i, (shifts, width, clear) in enumerate(cycle(sorts)):
+        for i, (shifts, width, clear) in enumerate(cycle(sorts)):
+            moved: dict[int, int] = {}
+            # a key the first pass leaves in order may still move in the other family
+            still = moved if i == 0 and len(sorts) == 2 else out
+            get, get_still = moved.get, still.get
+            for key, value in level.items():
                 lanes = [key >> sh & width for sh in shifts]
                 ordered = sorted(lanes)
-                if lanes != ordered:
-                    key &= clear
-                    for sh, v in zip(shifts, ordered):
-                        key |= v << sh
-                elif i:  # the sort before left its lanes in order too
-                    break
-            out[key] = get(key, 0) + value
-        return out
+                if lanes == ordered:
+                    still[key] = get_still(key, 0) + value
+                else:
+                    key = key & clear | sum(map(lshift, ordered, shifts))
+                    moved[key] = get(key, 0) + value
+            if not moved:
+                return out
+            level = moved
 
     return cells, merge
 

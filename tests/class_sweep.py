@@ -2,7 +2,9 @@
 order, each in its own child process under a time budget, and fold the
 finished outputs into one SHA-256 digest, so that a change can be checked
 against the code it replaces: the same classes must finish with the same
-digest.
+digest.  A second digest folds each finished structure with the node_count
+of its child's diagnostics line, so that a change that keeps the outputs
+but spends other search nodes shows too.
 
 Usage, from the root of a checkout (the children import latinsym from the
 checkout's src directory):
@@ -11,8 +13,9 @@ checkout's src directory):
     python tests/class_sweep.py ccensus 5 --timeout-secs 15
 
 It prints how many classes finish, the stderr line of each one that exits 3,
-the digest, and the seconds and peak RSS of the slowest child.  The children
-run one at a time, so the machine holds one search's memory at a time.
+the seconds and peak RSS of the slowest child, and the two digests.  The
+children run one at a time, so the machine holds one search's memory at a
+time.
 Pytest does not collect this file.
 """
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -48,7 +52,7 @@ def main() -> int:
         sys.stderr.write(listing.stderr)
         return 2
     classes = listing.stdout.split()
-    digest = hashlib.sha256()
+    digest, nodes = hashlib.sha256(), hashlib.sha256()
     finished, aborts, slowest = 0, [], (0.0, "")
     started = time.monotonic()
     for z in classes:
@@ -58,6 +62,8 @@ def main() -> int:
         if child.returncode == 0:
             finished += 1
             digest.update(f"{z}\n{child.stdout}".encode())
+            spent = re.search(r"node_count (\d+) nodes", child.stderr).group(1)
+            nodes.update(f"{z} {spent}\n".encode())
         elif child.returncode == 3:
             aborts.append(f"{z}: {child.stderr.splitlines()[0]}")
         else:
@@ -70,6 +76,7 @@ def main() -> int:
         print(f"  {line}")
     print(f"  slowest {slowest[1]} at {slowest[0]:.1f} s; largest child peak {peak:.0f} MiB")
     print(f"  sha256 {digest.hexdigest()}")
+    print(f"  nodes sha256 {nodes.hexdigest()}")
     return 0
 
 

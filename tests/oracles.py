@@ -9,14 +9,17 @@ is affordable: iter_invariant_squares lists the invariant squares themselves;
 census_by_walker checks the census DP; completability_by_walker,
 which asks the library's cover search about every square it visits, checks
 the completability census; and basis_by_shape_walk, which counts each square
-that fills a shape with count_completions, checks the bases.
+that fills a shape with count_completions, checks the bases.  One more,
+merge_key_by_key, works on the library's packed DP states: it is the row
+merge done one key at a time, kept to check the merge that works over a
+whole level.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import permutations
+from itertools import cycle, permutations
 from math import lcm
 
 
@@ -431,3 +434,40 @@ def basis_by_shape_walk(t, shape) -> list[tuple[frozenset, int]]:
                for cells in found]
     return sorted(((cells, c) for cells, c in counted if c),
                   key=lambda item: sorted(item[0]))
+
+
+# ---------------------------------------------------------------- row merge
+
+def merge_key_by_key(ovs, pre: int, level: dict[int, int]) -> dict[int, int]:
+    """The row merge of orbit_enum._row_merge(ovs, pre) applied to level one
+    key at a time: each key's lane columns of its cs matrix are sorted, then
+    its lane symbols, then its columns again, and so on until a sort after
+    the first leaves its lanes in order; the values of keys brought to one
+    key are added.  The lanes are the fixed columns of beta and the fixed
+    symbols of gamma that no pair of pre holds."""
+    n = ovs.n
+    N = n * n
+    lane = (1 << n) - 1
+    used_cols = used_syms = 0
+    for r in range(n):
+        used_cols |= pre >> r * n & lane
+        used_syms |= pre >> N + r * n & lane
+    fc = [2 * N + (c - 1) * n for c in ovs.fixed_cols if not used_cols >> c - 1 & 1]
+    fs = [s - 1 for s in ovs.fixed_syms if not used_syms >> s - 1 & 1]
+    spread = sum(1 << 2 * N + c * n for c in range(n))
+    col_clear = ~sum(lane << sh for sh in fc)
+    sym_clear = ~sum(spread << sh for sh in fs)
+    sorts = ((fc, lane, col_clear), (fs, spread, sym_clear))
+    out: dict[int, int] = {}
+    for key, value in level.items():
+        for i, (shifts, width, clear) in enumerate(cycle(sorts)):
+            lanes = [key >> sh & width for sh in shifts]
+            ordered = sorted(lanes)
+            if lanes != ordered:
+                key &= clear
+                for sh, v in zip(shifts, ordered):
+                    key |= v << sh
+            elif i:  # the sort before left its lanes in order too
+                break
+        out[key] = out.get(key, 0) + value
+    return out

@@ -334,6 +334,48 @@ def test_row_merge_matches_unmerged_dp(monkeypatch):
                                    for P in squares], str(z)
 
 
+def test_row_merge_matches_key_by_key(monkeypatch):
+    # every level the DP merges, against the same merge done one key at a
+    # time: the census (capped at 8 at order 5) and the full count of every
+    # structure of orders 2 to 5, then the completions of seeded squares on
+    # random conjugates, whose orbits leave only some lanes free
+    real = orbit_enum._row_merge
+    checked = []
+
+    def row_merge(ovs, pre):
+        cells, merge = real(ovs, pre)
+        if merge is None:
+            return cells, merge
+
+        def checked_merge(level):
+            got = merge(level)
+            assert got == oracles.merge_key_by_key(ovs, pre, level)
+            checked.append((pre, len(level)))
+            return got
+        return cells, checked_merge
+
+    monkeypatch.setattr(orbit_enum, "_row_merge", row_merge)
+    for n in (2, 3, 4, 5):
+        for z in enumerate_autotopism_structures(n):
+            t = canonical_isotopism(z)
+            delta_census(t, max_size=8 if n == 5 else None)
+            delta_full(t)
+    assert (len(checked), sum(size for _, size in checked)) == (599, 116873)
+    rng = random.Random(61)
+    for n in (3, 4, 5):
+        for z in enumerate_autotopism_structures(n):
+            conj = random_conjugate(rng, canonical_isotopism(z))
+            cols, syms = conj.beta.fixed_points(), conj.gamma.fixed_points()
+            if len(cols) < 2 and len(syms) < 2:
+                continue
+            spare = (rng.sample(cols, 2), ()) if len(cols) > 1 else ((), rng.sample(syms, 2))
+            completable = delta_full(conj) > 0
+            for size in (1, n, 2 * n):
+                count_completions(conj, PartialLatinSquare(n, seeded_invariant_square(
+                    rng, conj, size, completable, spare)))
+    assert any(pre for pre, _ in checked)
+
+
 def test_single_cell_completions_under_the_identity():
     # every one of the n^3 single cells of an order-n square lies in |LS_n|/n
     # Latin squares; a merge that relabelled the cell's column or symbol, or
@@ -351,6 +393,19 @@ def test_row_merge_reaches_a_single_cell_of_order_six(monkeypatch):
     monkeypatch.setattr(orbit_enum, "_MAX_LEVEL_BYTES", 1 << 20)
     P = PartialLatinSquare(6, frozenset({(2, 3, 4)}))
     assert count_completions(Isotopism.identity(6), P) == 135475200
+
+
+def test_runs_that_merge_spend_pinned_nodes():
+    # the DP states expanded by three runs whose levels merge at every row
+    # boundary: a change to what merges changes these counts
+    assert delta_census(rep_of("1^4,1^4,1^4")).node_count == 6283
+    budget = Budget()
+    assert delta_full(Isotopism.identity(6), budget=budget) == 812851200
+    assert budget.nodes == 4880
+    budget = Budget()
+    P = PartialLatinSquare(6, frozenset({(2, 3, 4)}))
+    assert count_completions(Isotopism.identity(6), P, budget=budget) == 135475200
+    assert budget.nodes == 15151
 
 
 def test_census_max_size_prunes():
@@ -512,6 +567,27 @@ def test_row_merge_holds_nothing_beside_its_levels(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 6.5 * (1 << 20)
+
+
+def test_census_row_merge_holds_nothing_beside_its_levels(monkeypatch):
+    # the uncapped census of 1^4 fits under a ceiling of 1,204,660 bytes or
+    # more.  The charges overstate its tables: under this ceiling the traced
+    # peak is 0.96 MiB, and 1.05 MiB where the merges keep every level they
+    # read, so the peak must stay under 0.9 of the ceiling.
+    ceiling = 1_204_660
+    monkeypatch.setattr(orbit_enum, "_MAX_LEVEL_BYTES", ceiling)
+    t = rep_of("1^4,1^4,1^4")
+    build_valid_orbits(t)  # kept between calls, outside the budget
+    tracemalloc.start()
+    try:
+        assert delta_census(t).total == 127545136
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.9 * ceiling
+    monkeypatch.setattr(orbit_enum, "_MAX_LEVEL_BYTES", ceiling - 1)
+    with pytest.raises(StateBudgetExceededError):
+        delta_census(t)
 
 
 # ----------------------------------------------------------------------
