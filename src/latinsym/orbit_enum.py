@@ -28,15 +28,18 @@ they set up before the loop:
   and the bases by a depth-first walk (_projected_covers).
 
 At a row boundary that no valid orbit crosses, states that a relabelling
-of the fixed columns of beta and the fixed symbols of gamma relates are
-merged (_row_merge), unless the count keeps its levels.  A count from
-placed orbits relabels only the columns and symbols they leave unused.
-The uncapped census of 1^4 then expands 6,283 states, where it expanded
-366,614, and at the four boundaries of 1^5 the merge leaves 6, 290, 4,908
-and 19,286 states of 1,546, 5,961, 109,905 and 600,410.  The completions
-of one cell under the identity take about 0.02 s at order 6 (135,475,200)
-and about 1.5 s at order 7 (8,782,774,272,000 = |LS_7|/7); unmerged, the
-first took 17 s and the second stopped at the ceiling at cell 14.
+of the columns and the symbols commuting with beta and gamma relates are
+merged (_row_merge), unless the count keeps its levels: fixed points
+permuted, cycles turned, cycles of one length swapped.  A count from
+placed orbits relabels only the cycles whose columns and symbols they
+leave unused.  The uncapped census of 1^4 then expands 6,283 states, where
+it expanded 366,614, and at the four boundaries of 1^5 the merge leaves 6,
+290, 4,908 and 19,286 states of 1,546, 5,961, 109,905 and 600,410.  The
+completions of one cell under the identity take about 0.02 s at order 6
+(135,475,200) and about 1.5 s at order 7 (8,782,774,272,000 = |LS_7|/7);
+unmerged, the first took 17 s and the second stopped at the ceiling at
+cell 14.  The full count of 2^3,2^3,2^3 expands 2,184 states, 15,562 when
+only fixed points merged.
 
 Every table a search keeps, the level being read beside the one being built
 included, is charged to its budget (Budget.held); one that would take the
@@ -67,19 +70,8 @@ from .budget import (  # the searches' errors, importable from here too
     StateBudgetExceededError,
     TimeBudgetExceededError,
 )
-from .perm_algebra import (
-    IsotopismStructure,
-    cycle_structure,
-    is_autotopism_structure,
-    lcm_triple_set,
-)
-from .pls_core import (
-    Isotopism,
-    PartialLatinSquare,
-    TripleOrbit,
-    autotopism_group,
-    triple_orbits,
-)
+from .perm_algebra import IsotopismStructure, is_autotopism_structure, lcm_triple_set
+from .pls_core import Isotopism, TripleOrbit, triple_orbits
 
 # Most bytes one search's tables may hold together (Budget.held): the DP
 # level being read and the one being built, the kept levels and live steps
@@ -92,8 +84,9 @@ from .pls_core import (
 # adds its digits, the polynomial's over the sizes it can have reached
 # (_entry_costs).  The uncapped 1^5 census then charges at most 318.4 MiB,
 # at cell 19 with 591,816 states read and 600,410 built, and peaks at about
-# 291 MiB; census --z 2^3,2^3,2^3 stops at cell 16 at 318 MiB, where it
-# peaked at 433 MiB when only the level being built was charged.
+# 291 MiB.  census --z 2^3,2^3,2^3 stopped at cell 16 at 318 MiB while only
+# fixed points merged (433 MiB when only the level being built was
+# charged); merged under its cycles too, it finishes at a 29 MB peak.
 _MAX_LEVEL_BYTES = 320 << 20
 _ENTRY_BYTES = 100
 
@@ -119,14 +112,18 @@ class ValidOrbitSet:
     so a set of orbits is one integer and a conflict test is one AND; the
     mask of family k (0 rc, 1 rs, 2 cs) is masks[i] >> k n^2 & (2^(n^2) - 1).
     The orbits come in the order of triple_orbits, so by least cell.
+    For the row merges (_row_merge): uncrossed holds r*n for every row
+    boundary r that no orbit crosses, and col_cycles and sym_cycles are the
+    cycles of beta and gamma, fixed points included (Permutation.cycles).
     """
 
     n: int
     orbits: tuple[TripleOrbit, ...]
     lengths: tuple[int, ...]
     masks: tuple[int, ...]
-    fixed_cols: tuple[int, ...]  # the fixed points of beta
-    fixed_syms: tuple[int, ...]  # the fixed points of gamma
+    uncrossed: frozenset[int]
+    col_cycles: tuple[tuple[int, ...], ...]
+    sym_cycles: tuple[tuple[int, ...], ...]
 
     def conflict(self, a: int, b: int) -> bool:
         """Whether orbits a and b cannot coexist in one invariant square."""
@@ -158,9 +155,13 @@ def build_valid_orbits(t: Isotopism) -> ValidOrbitSet:
     n = t.degree
     N = n * n
     admissible = lcm_triple_set(n)
-    row_len = {pt: len(c) for c in t.alpha.cycles() for pt in c}
-    col_len = {pt: len(c) for c in t.beta.cycles() for pt in c}
-    sym_len = {pt: len(c) for c in t.gamma.cycles() for pt in c}
+    rows, cols, syms = (p.cycles() for p in t.components)
+    row_len = {pt: len(c) for c in rows for pt in c}
+    col_len = {pt: len(c) for c in cols for pt in c}
+    sym_len = {pt: len(c) for c in syms for pt in c}
+    # an orbit's rows are a cycle of alpha; bit r: it crosses above row r (0-based)
+    crosses = {pt: (1 << max(c)) - (1 << min(c)) for c in rows for pt in c}
+    crossed = 0
     orbits, lengths, packed = [], [], []
     for orbit in triple_orbits(t):
         triples = orbit.triples
@@ -182,8 +183,9 @@ def build_valid_orbits(t: Isotopism) -> ValidOrbitSet:
         orbits.append(orbit)
         lengths.append(length)
         packed.append(_pack(N, rc, rs, cs))
-    return ValidOrbitSet(n, tuple(orbits), tuple(lengths), tuple(packed),
-                         t.beta.fixed_points(), t.gamma.fixed_points())
+        crossed |= crosses[r0]
+    uncrossed = frozenset(r * n for r in range(1, n) if not crossed >> r & 1)
+    return ValidOrbitSet(n, tuple(orbits), tuple(lengths), tuple(packed), uncrossed, cols, syms)
 
 
 # ----------------------------------------------------------------------
@@ -287,86 +289,149 @@ def _orbit_groups(ovs: ValidOrbitSet, pre: int
     return groups, ahead
 
 
+def _sort_lanes(level, shifts, width, clear, moved, still) -> None:
+    """A pass of a family of _row_merge without cycles over level: each
+    key's lanes sorted, the largest to the most significant place."""
+    get, get_still = moved.get, still.get
+    for key, value in level.items():
+        lanes = [key >> sh & width for sh in shifts]
+        ordered = sorted(lanes)
+        if lanes == ordered:
+            still[key] = get_still(key, 0) + value
+        else:
+            key = key & clear | sum(map(lshift, ordered, shifts))
+            moved[key] = get(key, 0) + value
+
+
+def _turn_cycles(level, points, width, clear, groups, moved, still) -> None:
+    """A pass of a family of _row_merge with cycles over level: in each key
+    the fixed points' lanes sorted; each cycle turned to bring its first
+    largest lane to its most significant point, and the cycles of one
+    length sorted by their turned lanes, where that raises their bits."""
+    get, get_still = moved.get, still.get
+    for key, value in level.items():
+        new = key
+        if points:
+            lanes = [key >> sh & width for sh in points]
+            ordered = sorted(lanes)
+            if lanes != ordered:
+                new = key & clear | sum(map(lshift, ordered, points))
+        for cycles, bits in groups:
+            turned, changed = [], False
+            for shifts in cycles:
+                if len(shifts) == 2:
+                    a, b = key >> shifts[0] & width, key >> shifts[1] & width
+                    if a < b:
+                        a, b, changed = b, a, True
+                    turned.append([a, b])
+                else:
+                    lanes = [key >> sh & width for sh in shifts]
+                    top = lanes.index(max(lanes))
+                    if top:
+                        lanes, changed = lanes[top:] + lanes[:top], True
+                    turned.append(lanes)
+            if len(turned) > 1:
+                ordered = sorted(turned)
+                if ordered != turned:
+                    turned, changed = ordered, True
+            if changed:
+                part = 0
+                for shifts, lanes in zip(cycles, turned):
+                    part |= sum(map(lshift, lanes, shifts))
+                if part > key & bits:
+                    new = new & ~bits | part
+        if new == key:
+            still[key] = get_still(key, 0) + value
+        else:
+            moved[new] = get(new, 0) + value
+
+
 def _row_merge(ovs: ValidOrbitSet, pre: int):
     """(cells, merge) for merging the states of a DP from the packed state
-    pre under fixed-point relabellings: the DP replaces its level with
-    merge(level) before each cell in cells.
+    pre under relabellings that commute with t: the DP replaces its level
+    with merge(level) before each cell in cells, ovs.uncrossed.
 
-    The lanes are the fixed columns of beta that no pair of pre holds and
-    the fixed symbols of gamma that none holds (read off pre's rc and rs
-    bits).  cells holds r*n for every row boundary r that no valid orbit
-    crosses, and is empty when fewer than two lanes are free on both sides.
     There an orbit placed in the rows before touches no later row, so a
     state's bits are column-symbol pairs and pre's pairs in the rows ahead.
-    A relabelling sigma = (id, delta, epsilon), delta permuting the lane
-    columns and epsilon the lane symbols, commutes with t, fixes every row
-    and maps valid orbits to valid orbits of the same length.  delta fixes
-    every column pre uses and epsilon every symbol, so sigma fixes pre's
-    three masks and maps the orbits that _orbit_groups(ovs, pre) keeps,
-    those compatible with pre, onto themselves.  So it maps the fillings of
-    the rows ahead one-to-one and keeps their sizes, and states it relates
-    may share one entry; on a state it moves only the cs lanes, which merge
-    sorts.  Fixing only the columns of pre's cells in the rows ahead is not
-    enough: _orbit_groups drops every orbit that conflicts with pre in any
-    row, so the keys no longer carry the bits that tell such columns apart.
-    That rule got 120 of the 216 single cells of orders 3 to 5 wrong.
+    A relabelling sigma = (id, delta, epsilon), delta in the centralizer of
+    beta and epsilon in that of gamma, commutes with t, fixes every row and
+    maps valid orbits to valid orbits of the same length.  If delta fixes
+    every column that some pair of pre holds and epsilon every such symbol,
+    sigma fixes pre's three masks and maps the orbits that
+    _orbit_groups(ovs, pre) keeps, those compatible with pre, onto
+    themselves.  So it maps the fillings of the rows ahead one-to-one and
+    keeps their sizes, and states it relates may share one entry.  Fixing
+    only the columns of pre's cells in the rows ahead is not enough:
+    _orbit_groups drops every orbit that conflicts with pre in any row, so
+    the keys no longer carry the bits that tell such columns apart.  That
+    rule got 120 of the 216 single cells of orders 3 to 5 wrong.
 
-    merge(level) applies such a relabelling to each state, adding the values
-    of states brought to one key: it sorts the lane columns of the cs
-    matrix, then its lane symbols, then its columns again, and so on, until
-    a sort after the first leaves its lanes in order.  A family of fewer
-    than two lanes is always in order, so it is not sorted.  merge sorts one
-    family at a time over the whole level.  The first pass sorts every key
-    and, when both families are sorted, passes all of them on; each later
-    pass sorts the other family (the same one when only one is sorted) in
-    the keys passed on, keeps those it leaves in order and passes on those
-    it moves.  Keys a pass brings to one key share one entry.  The result
-    is the same as sorting each key on its own: the sorts a key goes
-    through depend only on the key and on the family sorted next, so keys
-    equal after the same pass go the same way from there.  Both sorts raise
-    sum(m[c][s] 2^(c+s)) whenever they move a lane, so a key is moved
-    finitely often and the passes end.  It may miss a merge, which costs
-    only speed.
+    On a state sigma moves only the lanes of the cs matrix: a column's lane
+    is its n bits, a symbol's its bit in every column.  The columns and the
+    symbols are the two families of moves, each over its cycles that pre
+    leaves unused: fixed points permuted, a cycle turned by a power of beta
+    (gamma), two cycles of one length swapped point by point.  A family
+    brings a key to a canonical form (_sort_lanes without cycles, else
+    _turn_cycles), and a move must raise the key as an integer: a sort of
+    fixed points always does, and _turn_cycles leaves the cycles of one
+    length in place where their form would not.  So a key moves finitely
+    often, and a family leaves a key in its form in place.  A family
+    without two free fixed points or a longer free cycle is left out.
+
+    merge(level) moves one family at a time over the whole level, one
+    without cycles first, so that cycles turn in a level already merged.
+    The first pass moves every key and, with two families, passes all of
+    them on; each later pass moves the other family (the same one when
+    there is one) in the keys passed on, keeps those it leaves in place and
+    passes on those it moves.  Keys a pass brings to one key share one
+    entry, their values added.  The result is that of moving each key on
+    its own: where a key goes depends only on the key and on the family
+    next, so keys equal after the same pass go the same way from there.  It
+    may miss a merge, which costs only speed; a level of fewer than two
+    states is left as it is.
     """
     n = ovs.n
     N = n * n
+    cells = ovs.uncrossed
+    if not cells:
+        return (), None
     lane = (1 << n) - 1
     used_cols = used_syms = 0  # bit c-1 (s-1): some pair of pre holds column c (symbol s)
-    for r in range(n):
+    for r in range(n if pre else 0):
         used_cols |= pre >> r * n & lane
         used_syms |= pre >> N + r * n & lane
-    fc = [2 * N + (c - 1) * n for c in ovs.fixed_cols
-          if not used_cols >> c - 1 & 1]  # column lane shifts
-    fs = [s - 1 for s in ovs.fixed_syms if not used_syms >> s - 1 & 1]  # symbol lane shifts
-    if len(fc) < 2 and len(fs) < 2:
+    spread = ((1 << N) - 1) // lane << 2 * N  # one bit per column: sum of 2^(c n)
+    fixed, turned = [], []  # the families without cycles pass first
+    for cycles, used, base, step, width in ((ovs.col_cycles, used_cols, 2 * N, n, lane),
+                                            (ovs.sym_cycles, used_syms, 0, 1, spread)):
+        by_length: dict[int, list] = {}  # the free cycles' lane shifts, from the greatest point
+        for c in cycles:
+            if not (used and any(used >> p - 1 & 1 for p in c)):
+                top = c.index(max(c))
+                by_length.setdefault(len(c), []).append(
+                    [base + (p - 1) * step for p in c[top:] + c[:top]])
+        points = sum(by_length.pop(1, []), [])
+        if len(points) < 2:
+            points = []
+        clear = ~sum([width << sh for sh in points])
+        if by_length:
+            groups = [(sorted(cycles), sum(width << sh for c in cycles for sh in c))
+                      for cycles in by_length.values()]
+            turned.append((_turn_cycles, (points, width, clear, groups)))
+        elif points:
+            fixed.append((_sort_lanes, (points, width, clear)))
+    families = fixed + turned
+    if not families:
         return (), None
-    crossed = 0
-    for mask in ovs.masks:
-        rc = mask & ((1 << N) - 1)
-        first, last = ((rc & -rc).bit_length() - 1) // n, (rc.bit_length() - 1) // n
-        crossed |= (1 << last + 1) - (2 << first)  # boundaries first+1..last
-    cells = {r * n for r in range(1, n) if not crossed >> r & 1}
-    spread = sum(1 << 2 * N + c * n for c in range(n))  # one bit per column
-    col_clear = ~sum(lane << sh for sh in fc)
-    sym_clear = ~sum(spread << sh for sh in fs)
-    sorts = [family for family in ((fc, lane, col_clear), (fs, spread, sym_clear))
-             if len(family[0]) > 1]
 
     def merge(level: dict[int, int]) -> dict[int, int]:
+        if len(level) < 2:
+            return level
         out: dict[int, int] = {}
-        for i, (shifts, width, clear) in enumerate(cycle(sorts)):
+        for i, (canon, args) in enumerate(cycle(families)):
             moved: dict[int, int] = {}
-            # a key the first pass leaves in order may still move in the other family
-            still = moved if i == 0 and len(sorts) == 2 else out
-            get, get_still = moved.get, still.get
-            for key, value in level.items():
-                lanes = [key >> sh & width for sh in shifts]
-                ordered = sorted(lanes)
-                if lanes == ordered:
-                    still[key] = get_still(key, 0) + value
-                else:
-                    key = key & clear | sum(map(lshift, ordered, shifts))
-                    moved[key] = get(key, 0) + value
+            # a key the first pass leaves in place may still move in the other family
+            canon(level, *args, moved, moved if i == 0 and len(families) == 2 else out)
             if not moved:
                 return out
             level = moved
@@ -798,7 +863,7 @@ def delta_size_one(z: IsotopismStructure) -> int:
 
 
 # ----------------------------------------------------------------------
-# Isotopism-class slices of the census
+# Centralizer orders
 # ----------------------------------------------------------------------
 
 def _centralizer_order(z: IsotopismStructure) -> int:
@@ -806,31 +871,3 @@ def _centralizer_order(z: IsotopismStructure) -> int:
     of j^m * m! for each length j that has m cycles."""
     return prod(j ** m * factorial(m)
                 for cs in z.components for j, m in enumerate(cs.counts, start=1))
-
-
-def delta_isotopism_class(t: Isotopism, P: PartialLatinSquare) -> int:
-    """Number of t-invariant squares isotopic to P, which is
-    |C(t)| * #{a in A_P with t's structure} / |A_P|, A_P the autotopism group.
-
-    By orbit-stabilizer in the isotopism group G: count the pairs (Q, a), Q
-    isotopic to P and a an autotopism of Q with t's structure, both ways.
-    The class has |G|/|A_P| members, each with as many such a as P has,
-    since A_Q is conjugate to A_P.  Each of the |G|/|C(t)| isotopisms with
-    t's structure is a conjugate of t, so it fixes as many members as t
-    does.  autotopism_group raises OrderLimitError above order 5.
-    """
-    if P.n != t.degree:
-        raise ValueError("degree mismatch")
-    if P.is_empty():
-        return 0
-    z = t.structure()
-    group = autotopism_group(P)
-    # the components repeat: the 13,824 autotopisms of one cell at order 5
-    # have 24 distinct alphas, so each cycle structure is computed once
-    shape = lru_cache(maxsize=None)(cycle_structure)
-    hits = _centralizer_order(z) * sum(
-        1 for a in group
-        if (shape(a.alpha), shape(a.beta), shape(a.gamma)) == z.components)
-    if hits % len(group):
-        raise AssertionError("class slice not divisible by the autotopism group order")
-    return hits // len(group)

@@ -11,9 +11,13 @@ checkout's src directory):
 
     python tests/class_sweep.py census 6
     python tests/class_sweep.py ccensus 5 --timeout-secs 15
+    python tests/class_sweep.py census 6 --timeout-secs 30 --exclude 2^3,2^3,2^3
 
 It prints how many classes finish, the stderr line of each one that exits 3,
-the seconds and peak RSS of the slowest child, and the two digests.  The
+the seconds and peak RSS of the slowest child, and the two digests.
+--exclude names classes, as the structures listing prints them, that are
+not run and so stay out of both digests: a sweep of a change under which
+a class newly finishes can then be set beside one of the code before.  The
 children run one at a time, so the machine holds one search's memory at a
 time.
 Pytest does not collect this file.
@@ -46,12 +50,22 @@ def main() -> int:
     parser.add_argument("n", type=int, help="the order")
     parser.add_argument("--timeout-secs", type=float, default=15.0,
                         help="the budget of each child (default 15)")
+    parser.add_argument("--exclude", default="", metavar="Z[,Z...]",
+                        help="classes to leave out, written as the listing writes them")
     args = parser.parse_args()
     listing = _latinsym(["structures", "--n", str(args.n), "--parastrophic"])
     if listing.returncode:
         sys.stderr.write(listing.stderr)
         return 2
     classes = listing.stdout.split()
+    # a structure's own commas split it into three parts
+    parts = args.exclude.split(",") if args.exclude else []
+    excluded = {",".join(parts[i:i + 3]) for i in range(0, len(parts), 3)}
+    unknown = sorted(excluded - set(classes))
+    if unknown:
+        sys.stderr.write(f"not a class of order {args.n} in the listing: {', '.join(unknown)}\n")
+        return 2
+    classes = [z for z in classes if z not in excluded]
     digest, nodes = hashlib.sha256(), hashlib.sha256()
     finished, aborts, slowest = 0, [], (0.0, "")
     started = time.monotonic()
@@ -71,7 +85,8 @@ def main() -> int:
             return 1
     peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # KiB on Linux
     print(f"{args.command} order {args.n}: {finished} of {len(classes)} classes finish "
-          f"in {time.monotonic() - started:.1f} s")
+          f"in {time.monotonic() - started:.1f} s"
+          + (f" ({len(excluded)} excluded)" if excluded else ""))
     for line in aborts:
         print(f"  {line}")
     print(f"  slowest {slowest[1]} at {slowest[0]:.1f} s; largest child peak {peak:.0f} MiB")

@@ -11,8 +11,11 @@ which asks the library's cover search about every square it visits, checks
 the completability census; and basis_by_shape_walk, which counts each square
 that fills a shape with count_completions, checks the bases.  One more,
 merge_key_by_key, works on the library's packed DP states: it is the row
-merge done one key at a time, kept to check the merge that works over a
-whole level.
+merge done one key at a time, each move an explicit relabelling (relabel),
+kept to check the merge that works over a whole level.  And
+delta_isotopism_class counts one isotopy class of invariant squares from
+the library's autotopism group, by orbit-stabilizer; class_slice_by_canon
+checks it.
 """
 
 from __future__ import annotations
@@ -313,6 +316,39 @@ def _class_sizes(theta, n: int) -> Counter:
     return Counter(canon_key(p, n) for p in invariant_squares(theta, n))
 
 
+def delta_isotopism_class(t, P) -> int:
+    """Number of t-invariant squares isotopic to the PartialLatinSquare P,
+    which is |C(t)| * #{a in A_P with t's structure} / |A_P|, A_P the
+    autotopism group of P (the library's autotopism_group).
+
+    By orbit-stabilizer in the isotopism group G: count the pairs (Q, a), Q
+    isotopic to P and a an autotopism of Q with t's structure, both ways.
+    The class has |G|/|A_P| members, each with as many such a as P has,
+    since A_Q is conjugate to A_P.  Each of the |G|/|C(t)| isotopisms with
+    t's structure is a conjugate of t, so it fixes as many members as t
+    does.  autotopism_group raises OrderLimitError above order 5.
+    """
+    from latinsym.orbit_enum import _centralizer_order
+    from latinsym.perm_algebra import cycle_structure
+    from latinsym.pls_core import autotopism_group
+
+    if P.n != t.degree:
+        raise ValueError("degree mismatch")
+    if P.is_empty():
+        return 0
+    z = t.structure()
+    group = autotopism_group(P)
+    # the components repeat: the 13,824 autotopisms of one cell at order 5
+    # have 24 distinct alphas, so each cycle structure is computed once
+    shape = lru_cache(maxsize=None)(cycle_structure)
+    hits = _centralizer_order(z) * sum(
+        1 for a in group
+        if (shape(a.alpha), shape(a.beta), shape(a.gamma)) == z.components)
+    if hits % len(group):
+        raise AssertionError("class slice not divisible by the autotopism group order")
+    return hits // len(group)
+
+
 # ------------------------------------------------------------------- census
 
 def _view_masks(ovs, k: int) -> list[int]:
@@ -438,36 +474,111 @@ def basis_by_shape_walk(t, shape) -> list[tuple[frozenset, int]]:
 
 # ---------------------------------------------------------------- row merge
 
+def relabel(n: int, key: int, cols: dict, syms: dict) -> int:
+    """The packed DP state key, rc | rs << n^2 | cs << 2n^2, under the
+    relabelling (id, cols, syms): cols and syms map points to their images,
+    and a point they leave out is fixed.  Each set bit is moved on its own."""
+    N = n * n
+    out = 0
+    while key:
+        low = key & -key
+        key ^= low
+        family, pair = divmod(low.bit_length() - 1, N)
+        a, b = divmod(pair, n)
+        a, b = a + 1, b + 1
+        if family == 0:
+            b = cols.get(b, b)
+        elif family == 1:
+            b = syms.get(b, b)
+        else:
+            a, b = cols.get(a, a), syms.get(b, b)
+        out |= 1 << family * N + (a - 1) * n + b - 1
+    return out
+
+
+def _used_points(n: int, pre: int) -> tuple[set, set]:
+    """The columns and the symbols that some pair of the packed state pre holds."""
+    N = n * n
+    used: tuple[set, set] = (set(), set())
+    for bit in range(2 * N):
+        if pre >> bit & 1:
+            used[bit // N].add(bit % n + 1)
+    return used
+
+
 def merge_key_by_key(ovs, pre: int, level: dict[int, int]) -> dict[int, int]:
     """The row merge of orbit_enum._row_merge(ovs, pre) applied to level one
-    key at a time: each key's lane columns of its cs matrix are sorted, then
-    its lane symbols, then its columns again, and so on until a sort after
-    the first leaves its lanes in order; the values of keys brought to one
-    key are added.  The lanes are the fixed columns of beta and the fixed
-    symbols of gamma that no pair of pre holds."""
+    key at a time, each move an explicit relabelling of the key.
+
+    The free cycles of beta (gamma) are those no pair of pre touches, each
+    read from its greatest point on in the order beta (gamma) moves it.  A
+    family is the columns or the symbols, with two free fixed points or a
+    longer free cycle; those without such a cycle come first.  A family
+    brings a key to its canonical form: the lanes of the fixed points
+    sorted, the greatest to the greatest point; then, for each length, each
+    cycle turned so that its first greatest lane reaches its greatest
+    point, and the turned cycles sorted by their lanes, the greatest to the
+    cycle with the greatest top point, kept only where that raises the key.
+    A column's lane is its row of the cs matrix, a symbol's its column,
+    each read as an integer from the greatest point down.  Each key goes
+    through the families in turn until a family after the first leaves it
+    as it is; with one family, once.  The values of keys brought to one key
+    are added.  A level of fewer than two keys is left as it is."""
+    if len(level) < 2:
+        return dict(level)
     n = ovs.n
     N = n * n
-    lane = (1 << n) - 1
-    used_cols = used_syms = 0
-    for r in range(n):
-        used_cols |= pre >> r * n & lane
-        used_syms |= pre >> N + r * n & lane
-    fc = [2 * N + (c - 1) * n for c in ovs.fixed_cols if not used_cols >> c - 1 & 1]
-    fs = [s - 1 for s in ovs.fixed_syms if not used_syms >> s - 1 & 1]
-    spread = sum(1 << 2 * N + c * n for c in range(n))
-    col_clear = ~sum(lane << sh for sh in fc)
-    sym_clear = ~sum(spread << sh for sh in fs)
-    sorts = ((fc, lane, col_clear), (fs, spread, sym_clear))
+    used = _used_points(n, pre)
+    families = []
+    for kind, cycles in enumerate((ovs.col_cycles, ovs.sym_cycles)):
+        free = [c[c.index(max(c)):] + c[:c.index(max(c))]
+                for c in cycles if not used[kind] & set(c)]
+        points = [c[0] for c in free if len(c) == 1]
+        by_length: dict[int, list] = {}
+        for c in free:
+            if len(c) > 1:
+                by_length.setdefault(len(c), []).append(c)
+        if len(points) > 1 or by_length:
+            families.append((bool(by_length), kind, points if len(points) > 1 else [],
+                             list(by_length.values())))
+    families.sort(key=lambda family: family[0])
+
+    def lane(key: int, kind: int, p: int) -> int:
+        if kind == 0:  # column p: bit s-1 for symbol s
+            return key >> 2 * N + (p - 1) * n & (1 << n) - 1
+        return sum((key >> 2 * N + (c - 1) * n + p - 1 & 1) << c - 1 for c in range(1, n + 1))
+
+    def move(key: int, kind: int, images: dict) -> int:
+        return relabel(n, key, images, {}) if kind == 0 else relabel(n, key, {}, images)
+
+    def canon(key: int, family) -> int:
+        _, kind, points, groups = family
+        if points:
+            by_lane = sorted(points, key=lambda p: lane(key, kind, p))
+            key = move(key, kind, dict(zip(by_lane, sorted(points))))
+        for cycles in groups:
+            turned = []
+            for c in cycles:
+                lanes = [lane(key, kind, p) for p in c]
+                i = lanes.index(max(lanes))
+                turned.append((lanes[i:] + lanes[:i], c[i:] + c[:i]))
+            images = {}
+            for target, (_, source) in zip(sorted(cycles), sorted(turned)):
+                images.update(zip(source, target))
+            candidate = move(key, kind, images)
+            if candidate > key:
+                key = candidate
+        return key
+
     out: dict[int, int] = {}
     for key, value in level.items():
-        for i, (shifts, width, clear) in enumerate(cycle(sorts)):
-            lanes = [key >> sh & width for sh in shifts]
-            ordered = sorted(lanes)
-            if lanes != ordered:
-                key &= clear
-                for sh, v in zip(shifts, ordered):
-                    key |= v << sh
-            elif i:  # the sort before left its lanes in order too
-                break
+        if len(families) == 1:
+            key = canon(key, families[0])
+        else:
+            for i, family in enumerate(cycle(families)):
+                moved = canon(key, family)
+                if i and moved == key:
+                    break
+                key = moved
         out[key] = out.get(key, 0) + value
     return out

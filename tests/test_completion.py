@@ -272,6 +272,30 @@ def test_completability_census_matches_walk():
         assert completability_census(t).per_size == oracles.completability_by_walker(t), spec
 
 
+def test_table5_reference_follows_evans_bound():
+    # every cell of table5.csv, totals included, by one rule: Delta_z(s),
+    # every invariant square, below size n, and the Theta-completable count
+    # from size n on.  Every partial Latin square of fewer than n cells
+    # completes (Smetaniuk 1981), so the reference took that bound to hold
+    # for Theta-completability too; it fails for 2.1^2,2.1^2,2.1^2 alone,
+    # where 8 squares of size 2 and 32 of size 3 do not Theta-complete
+    table5 = (resources.files("latinsym") / "data" / "table5.csv").read_text()
+    rows = list(csv.reader(table5.splitlines()))
+    header, cells = rows[0], 0
+    for row in filter(None, rows[1:]):
+        n, t = int(row[0]), rep_of(row[1])
+        census, completable = delta_census(t), completability_census(t)
+        expected = [census.count(s) if s < n else completable.count(s)
+                    for s in range(1, len(header) - 2)]
+        expected.append(sum(expected))
+        assert [int(cell or 0) for cell in row[2:]] == expected, row[1]
+        cells += len(expected)
+    assert cells == 221
+    t = rep_of("2.1^2,2.1^2,2.1^2")
+    assert [delta_census(t).count(s) - completability_census(t).count(s)
+            for s in (2, 3)] == [8, 32]
+
+
 def test_completability_census_identity_order_four():
     # the walk takes minutes here; every partial Latin square of size below
     # n completes (Evans's conjecture, proved by Smetaniuk in 1981), so those

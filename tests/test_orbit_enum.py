@@ -6,7 +6,8 @@ import random
 import time
 import tracemalloc
 from collections import Counter
-from itertools import product
+from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
@@ -35,14 +36,13 @@ from latinsym.orbit_enum import (
     delta_closed_nnn,
     delta_closed_row_col_ncycle,
     delta_full,
-    delta_isotopism_class,
     delta_min_size,
     delta_size_one,
     size_bounds,
 )
 
 import oracles
-from oracles import iter_invariant_squares
+from oracles import delta_isotopism_class, iter_invariant_squares
 
 
 EXAMPLE = IsotopismStructure.parse("6,3.2.1,4.2")
@@ -289,19 +289,16 @@ def test_census_merge_on_conjugated_isotopisms():
             assert delta_full(conj) == delta_full(t), str(z)
 
 
-def test_row_merge_matches_unmerged_dp(monkeypatch):
-    # every structure of orders 3 to 5 whose states can merge, against the
-    # same DP with merging switched off, on a random conjugate: the census
-    # and the full count at order 5, and at every order the completions of
-    # seeded invariant squares of one orbit up to many, which merge under
-    # the lanes their orbits leave free; at orders 3 and 4 the completions
-    # also against the independent counter.  Where the conjugate has a full
-    # square, the squares are completable, so that most counts are not 0;
-    # the larger ones spare two fixed columns or symbols, so that they can
-    # still merge.
-    rng = random.Random(59)
+def seeded_merge_cases(orders, seed: int = 59):
+    """(z, conjugate, squares) for every structure of the given orders whose
+    states can merge under its fixed points, on a random conjugate: seeded
+    invariant squares of one orbit up to many, which merge under the lanes
+    their orbits leave free.  Where the conjugate has a full square, the
+    squares are completable, so that most counts are not 0; the larger ones
+    spare two fixed columns or symbols, so that they can still merge."""
+    rng = random.Random(seed)
     cases = []
-    for n in (3, 4, 5):
+    for n in orders:
         for z in enumerate_autotopism_structures(n):
             if z.cols.count(1) > 1 or z.syms.count(1) > 1:
                 conj = random_conjugate(rng, canonical_isotopism(z))
@@ -317,6 +314,15 @@ def test_row_merge_matches_unmerged_dp(monkeypatch):
                     squares.append(PartialLatinSquare(n, seeded_invariant_square(
                         rng, conj, size, completable, spare)))
                 cases.append((z, conj, squares))
+    return cases
+
+
+def test_row_merge_matches_unmerged_dp(monkeypatch):
+    # the cases of seeded_merge_cases at orders 3 to 5, against the same DP
+    # with merging switched off: the census and the full count at order 5,
+    # and at every order the completions of the seeded squares; at orders 3
+    # and 4 the completions also against the independent counter
+    cases = seeded_merge_cases((3, 4, 5))
     merged = []
     for z, conj, squares in cases:
         census = (delta_census(conj, max_size=4).per_size, delta_full(conj)) \
@@ -334,33 +340,40 @@ def test_row_merge_matches_unmerged_dp(monkeypatch):
                                    for P in squares], str(z)
 
 
-def test_row_merge_matches_key_by_key(monkeypatch):
-    # every level the DP merges, against the same merge done one key at a
-    # time: the census (capped at 8 at order 5) and the full count of every
-    # structure of orders 2 to 5, then the completions of seeded squares on
-    # random conjugates, whose orbits leave only some lanes free
+def merged_levels(monkeypatch) -> list:
+    """A list that gets (ovs, pre, level, merged) for each level the DP
+    merges from then on."""
     real = orbit_enum._row_merge
-    checked = []
+    seen: list = []
 
     def row_merge(ovs, pre):
         cells, merge = real(ovs, pre)
         if merge is None:
             return cells, merge
 
-        def checked_merge(level):
+        def recorded(level):
             got = merge(level)
-            assert got == oracles.merge_key_by_key(ovs, pre, level)
-            checked.append((pre, len(level)))
+            seen.append((ovs, pre, dict(level), got))
             return got
-        return cells, checked_merge
+        return cells, recorded
 
     monkeypatch.setattr(orbit_enum, "_row_merge", row_merge)
+    return seen
+
+
+def test_row_merge_matches_key_by_key(monkeypatch):
+    # every level the DP merges, against the same merge done one key at a
+    # time: the census (capped at 8 at order 5) and the full count of every
+    # structure of orders 2 to 5, then the completions of seeded squares on
+    # random conjugates, whose orbits leave only some lanes free, and of the
+    # single orbits of cycle_cases, which leave only some cycles free
+    seen = merged_levels(monkeypatch)
     for n in (2, 3, 4, 5):
         for z in enumerate_autotopism_structures(n):
             t = canonical_isotopism(z)
             delta_census(t, max_size=8 if n == 5 else None)
             delta_full(t)
-    assert (len(checked), sum(size for _, size in checked)) == (599, 116873)
+    assert (len(seen), sum(len(level) for _, _, level, _ in seen)) == (827, 118982)
     rng = random.Random(61)
     for n in (3, 4, 5):
         for z in enumerate_autotopism_structures(n):
@@ -373,7 +386,101 @@ def test_row_merge_matches_key_by_key(monkeypatch):
             for size in (1, n, 2 * n):
                 count_completions(conj, PartialLatinSquare(n, seeded_invariant_square(
                     rng, conj, size, completable, spare)))
-    assert any(pre for pre, _ in checked)
+    for conj, squares in cycle_cases((3, 4)):
+        for P in squares:
+            count_completions(conj, P)
+    assert any(pre for _, pre, _, _ in seen)
+    for ovs, pre, level, merged in seen:
+        assert merged == oracles.merge_key_by_key(ovs, pre, level)
+
+
+def centralizer(cycles) -> list[dict]:
+    """Every permutation commuting with the one of these cycles, by brute
+    force over all permutations of its points, as point -> image maps."""
+    image = {c[i]: c[(i + 1) % len(c)] for c in cycles for i in range(len(c))}
+    points = sorted(image)
+    return [dict(zip(points, p)) for p in permutations(points)
+            if all(p[points.index(image[a])] == image[p[points.index(a)]] for a in points)]
+
+
+def cycle_cases(orders, seed: int = 67):
+    """(conjugate, squares) for every structure of the given orders with a
+    cycle longer than 1 in beta or gamma, on a random conjugate; squares
+    are single orbits, which leave some cycles free and not others: every
+    orbit at orders up to 4 and every sixth at order 5, where the conjugate
+    has a full square, else none."""
+    rng = random.Random(seed)
+    cases = []
+    for n in orders:
+        for z in enumerate_autotopism_structures(n):
+            if max(z.cols.parts()) > 1 or max(z.syms.parts()) > 1:
+                conj = random_conjugate(rng, canonical_isotopism(z))
+                orbits = build_valid_orbits(conj).orbits if delta_full(conj) else ()
+                cases.append((conj, [PartialLatinSquare(n, frozenset(o.triples))
+                                     for o in orbits[::1 if n < 5 else 6]]))
+    return cases
+
+
+def test_row_merges_move_keys_by_the_centralizer(monkeypatch):
+    # every level merged at orders 2 to 4, from pre = 0 (censuses and full
+    # counts) and from the squares of seeded_merge_cases and cycle_cases:
+    # each key written is sigma(k) for a key k read, sigma = (id, delta,
+    # epsilon) with delta in C(beta) and epsilon in C(gamma), both found by
+    # brute force and fixing every column and symbol of pre, and the values
+    # of each orbit of such sigma add up
+    seen = merged_levels(monkeypatch)
+    for n in (2, 3, 4):
+        for z in enumerate_autotopism_structures(n):
+            t = canonical_isotopism(z)
+            delta_census(t, max_size=5 if n == 4 else None)
+            delta_full(t)
+    for z, conj, squares in seeded_merge_cases((3, 4)):
+        for P in squares:
+            count_completions(conj, P)
+    for conj, squares in cycle_cases((3, 4)):
+        for P in squares:
+            count_completions(conj, P)
+    assert any(pre and len(c) > 1 for ovs, pre, _, _ in seen
+               for c in ovs.col_cycles + ovs.sym_cycles)
+    groups: dict = {}
+    for ovs, pre, level, merged in seen:
+        n = ovs.n
+        key = (ovs.col_cycles, ovs.sym_cycles, pre)
+        if key not in groups:
+            used_cols, used_syms = oracles._used_points(n, pre)
+            groups[key] = [(d, e) for d in centralizer(ovs.col_cycles)
+                           if all(d[c] == c for c in used_cols)
+                           for e in centralizer(ovs.sym_cycles)
+                           if all(e[s] == s for s in used_syms)]
+        owner: dict[int, int] = {}  # a key of an orbit -> the first written key in it
+        for written in merged:
+            for d, e in groups[key]:
+                owner.setdefault(oracles.relabel(n, written, d, e), written)
+        read_sums: Counter = Counter()
+        for k, value in level.items():
+            assert k in owner, "a key read lies in the orbit of no key written"
+            read_sums[owner[k]] += value
+        written_sums: Counter = Counter()
+        for written, value in merged.items():
+            written_sums[owner[written]] += value
+        assert read_sums == written_sums
+
+
+def test_cycle_merges_match_unmerged_dp(monkeypatch):
+    # every structure of orders 2 to 5 with a cycle longer than 1 in beta or
+    # gamma: the census (capped at 4 at order 5) and the full count, and the
+    # completions of the single orbits of cycle_cases; then the census of
+    # 2^3,2^3,2^3 capped at 6; all against the same DP with merging off
+    cases = cycle_cases((2, 3, 4, 5))
+    big = rep_of("2^3,2^3,2^3")
+
+    def counts():
+        return [(delta_census(t, max_size=4 if t.degree == 5 else None).per_size,
+                 delta_full(t), [count_completions(t, P) for P in squares])
+                for t, squares in cases] + [delta_census(big, max_size=6).per_size]
+    merged = counts()
+    monkeypatch.setattr(orbit_enum, "_row_merge", lambda ovs, pre: ((), None))
+    assert merged == counts()
 
 
 def test_single_cell_completions_under_the_identity():
@@ -408,6 +515,25 @@ def test_runs_that_merge_spend_pinned_nodes():
     assert budget.nodes == 15151
 
 
+def test_cycle_merges_finish_what_stopped_at_the_ceiling():
+    # without merges under the cycles of beta and gamma, the census stopped
+    # at cell 16 and the two full counts at cells 19 and 26
+    rep = delta_census(rep_of("2^3,2^3,2^3"))
+    assert (rep.total, rep.count(32), rep.count(34)) == (41255197572, 7658496, 331776)
+    assert delta_full(rep_of("2^4,2^4,2^4")) == 6908018688
+    assert delta_full(rep_of("1^8,2^4,2^4")) == 828396011520
+
+
+def test_burnside_over_structures_counts_latin_square_classes():
+    # the isotopy classes of Latin squares of order n are the sum, over the
+    # admissible structures z, of Delta_z(n^2) / |C(z)| (McKay, Meynert and
+    # Myrvold 2007 for the values); the sum is exact and must be integral
+    for n, classes in enumerate((1, 1, 1, 2, 2, 22, 564), start=1):
+        total = sum(Fraction(delta_full(canonical_isotopism(z)), orbit_enum._centralizer_order(z))
+                    for z in enumerate_autotopism_structures(n))
+        assert total.denominator == 1 and total == classes, n
+
+
 def test_census_max_size_prunes():
     t = rep_of("1^4,1^4,1^4")
     rep = delta_census(t, max_size=2)
@@ -425,9 +551,9 @@ def test_census_budget_errors_distinct():
 
 
 def test_census_live_state_ceiling(monkeypatch):
-    # a 1 MiB level holds about 3,100 states here; the uncapped census of a
-    # structure without fixed points, whose states never merge, outgrows it
-    # within a row, while the size-2 census expands 420 states in all
+    # a 1 MiB level holds about 3,100 states here; the uncapped census of
+    # 2^3,2^3,2^3 outgrows it at cell 5, within its first row and so before
+    # its first row merge, while the size-2 census expands 420 states in all
     monkeypatch.setattr(orbit_enum, "_MAX_LEVEL_BYTES", 1 << 20)
     t = rep_of("2^3,2^3,2^3")
     with pytest.raises(StateBudgetExceededError, match=r"level at cell \d+ holds \d+ states"):
@@ -436,10 +562,11 @@ def test_census_live_state_ceiling(monkeypatch):
 
 
 def test_full_count_charges_the_level_read(monkeypatch):
-    # 3^2,3^2,3^2 has no fixed column or symbol, so its full count merges
-    # nothing; its largest level, 222 states, is built from one of 168.
-    # 222 plain-count states of 100 bytes hold that level on its own but
-    # not beside the level it is built from; 390 hold both.
+    # the full count of 3^2,3^2,3^2 merges only at cell 18, between its two
+    # row cycles, and its largest level, 222 states built from one of 168,
+    # comes first at cell 5, so the count reaches it as the unmerged trail
+    # does.  222 plain-count states of 100 bytes hold that level on its own
+    # but not beside the level it is built from; 390 hold both.
     t = rep_of("3^2,3^2,3^2")
     trail: list = []
     orbit_enum._levels(build_valid_orbits(t), 0, Budget(), trail=trail)
